@@ -1,8 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/metrics"
+	"slices"
 	"time"
 
 	"ampcgraph/internal/ampc"
@@ -184,33 +186,63 @@ func phaseTimes(recs []jobRecord) (wall, sim map[phaseKey][]float64) {
 	return wall, sim
 }
 
-// corePhaseMetrics sets core.<algo>.<phase>_ms to the median per-job wall
-// time of each phase, and the modeled-versus-measured calibration.
-func corePhaseMetrics(m *metricSet, e *env, recs []jobRecord) {
+// checkPhases fails when a job recorded other phases than its
+// configuration runs, so a renamed, merged or new phase in the engine stops
+// the traced run instead of reading as an absent metric.
+func checkPhases(e *env, pipelined bool, recs []jobRecord) error {
+	for _, r := range recs {
+		if r.err != nil {
+			continue
+		}
+		var got []string
+		for _, ph := range r.stats.Phases {
+			if !slices.Contains(got, ph.Name) {
+				got = append(got, ph.Name)
+			}
+		}
+		if want := expectedPhases(r.algo, pipelined, e.wl.serving); !slices.Equal(got, want) {
+			return fmt.Errorf("a %s job recorded the phases %q; this configuration runs %q", r.algo, got, want)
+		}
+	}
+	return nil
+}
+
+// corePhaseMetrics checks the traced jobs' phases and sets
+// core.<algo>.<phase>_ms to the median per-job wall time of each phase, and
+// the modeled-versus-measured calibration.
+func corePhaseMetrics(m *metricSet, e *env, recs []jobRecord) error {
+	pipelined := e.insts[0].cfg.Pipeline
+	if err := checkPhases(e, pipelined, recs); err != nil {
+		return err
+	}
+	mode := "barrier rounds"
+	if pipelined {
+		mode = "pipelined rounds"
+	}
+	if e.wl.serving {
+		mode += " on a warm session"
+	} else {
+		mode += ", one-shot"
+	}
 	wall, sim := phaseTimes(recs)
 	inMix := map[string]bool{}
 	for _, a := range e.wl.mix {
 		inMix[a] = true
 	}
-	listed := map[phaseKey]bool{}
 	for _, algo := range algos {
-		for _, ph := range corePhases[algo] {
-			k := phaseKey{algo, ph}
-			listed[k] = true
+		expected := expectedPhases(algo, pipelined, e.wl.serving)
+		for _, ph := range corePhases(algo) {
 			name := phaseMetric(algo, ph)
-			switch {
-			case len(wall[k]) > 0:
-				m.set(name, median(wall[k]))
+			switch xs := wall[phaseKey{algo, ph}]; {
 			case !inMix[algo]:
 				m.skip(name, algo+" is not in this workload's mix")
+			case !slices.Contains(expected, ph):
+				m.skip(name, "not a phase of "+algo+" jobs with "+mode)
+			case len(xs) == 0:
+				m.skip(name, "no "+algo+" job succeeded")
 			default:
-				m.skip(name, "phase not run in this configuration")
+				m.set(name, median(xs))
 			}
-		}
-	}
-	for k := range wall {
-		if !listed[k] {
-			m.notef("unlisted phase %s.%s: median %.3f ms", k.algo, k.phase, median(wall[k]))
 		}
 	}
 
@@ -241,4 +273,5 @@ func corePhaseMetrics(m *metricSet, e *env, recs []jobRecord) {
 	} else {
 		m.skip("simtime.phase_rank_corr", "too few phases to rank")
 	}
+	return nil
 }

@@ -13,7 +13,7 @@ import (
 func TestRunLoopRunsWholePasses(t *testing.T) {
 	mix := []string{"a", "b", "c"}
 	var calls, running, passes atomic.Int64
-	recs, elapsed := runLoop(2, mix, 30*time.Millisecond, func(algo string, client, pass int) jobRecord {
+	recs, elapsed := runLoop(2, mix, 30*time.Millisecond, 0, func(algo string, client, pass int) jobRecord {
 		calls.Add(1)
 		// Lock-step: the other client's job of this step is running or
 		// has not started, never already past this step.
@@ -55,6 +55,16 @@ func TestRunLoopRunsWholePasses(t *testing.T) {
 		if recs[k].algo != recs[k+1].algo || recs[k].pass != recs[k+1].pass || recs[k].client == recs[k+1].client {
 			t.Fatalf("records %d and %d are not one lock-step: %+v, %+v", k, k+1, recs[k], recs[k+1])
 		}
+	}
+}
+
+func TestRunLoopRunsMinPasses(t *testing.T) {
+	passes := 0
+	recs, _ := runLoop(1, []string{"a"}, 0, 3, func(algo string, client, pass int) jobRecord {
+		return jobRecord{algo: algo, client: client, pass: pass, correct: true}
+	}, func() { passes++ })
+	if passes != 3 || len(recs) != 3 {
+		t.Errorf("ran %d passes and %d jobs with a zero duration, want 3 of each", passes, len(recs))
 	}
 }
 

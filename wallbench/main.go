@@ -137,10 +137,10 @@ func emit(res *result, m *metricSet, defs []metricDef) error {
 	return nil
 }
 
-// loop runs the workload's closed loop for d, calling afterPass (if
-// non-nil) after each pass.
-func loop(e *env, d time.Duration, tr *tracer, afterPass func()) ([]jobRecord, time.Duration) {
-	return runLoop(e.wl.clients, e.wl.mix, d, func(algo string, client, pass int) jobRecord {
+// loop runs the workload's closed loop for d and at least minPasses
+// passes, calling afterPass (if non-nil) after each pass.
+func loop(e *env, d time.Duration, minPasses int, tr *tracer, afterPass func()) ([]jobRecord, time.Duration) {
+	return runLoop(e.wl.clients, e.wl.mix, d, minPasses, func(algo string, client, pass int) jobRecord {
 		return e.runJob(algo, client, pass, tr)
 	}, afterPass)
 }
@@ -158,12 +158,15 @@ func runUntraced(wl workload, seed int64, d time.Duration) (result, error) {
 	rss.start()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	recs, elapsed := loop(e, d, nil, rss.sample)
+	recs, elapsed := loop(e, d, rssPasses, nil, rss.sample)
 	runtime.ReadMemStats(&after)
+	if rss.err != nil {
+		return res, rss.err
+	}
 	tally(&res, recs)
 	m := newMetricSet()
 	endToEnd(m, e, recs, elapsed, after.TotalAlloc-before.TotalAlloc, median(rss.mb))
-	m.notef("peak_rss_mb: median of %d per-pass peaks (high-water mark reset after each pass: %v)", len(rss.mb), rss.reset)
+	m.notef("peak_rss_mb: median of the peaks of the first %d passes", len(rss.mb))
 	return res, emit(&res, m, endToEndDefs)
 }
 
@@ -187,7 +190,7 @@ func runTraced(wl workload, seed int64, d time.Duration, outDir string) (result,
 	defer e.close()
 	m := newMetricSet()
 
-	plain, plainElapsed := loop(e, d/4, nil, nil)
+	plain, plainElapsed := loop(e, d/4, 0, nil, nil)
 
 	profPath := base + ".cpu.pprof"
 	prof, err := os.Create(profPath)
@@ -203,7 +206,7 @@ func runTraced(wl workload, seed int64, d time.Duration, outDir string) (result,
 		prof.Close()
 		return res, err
 	}
-	recs, elapsed := loop(e, d/2, tr, nil)
+	recs, elapsed := loop(e, d/2, 0, tr, nil)
 	pprof.StopCPUProfile()
 	if err := prof.Close(); err != nil {
 		return res, err
@@ -212,7 +215,7 @@ func runTraced(wl workload, seed int64, d time.Duration, outDir string) (result,
 	if err != nil {
 		return res, err
 	}
-	plain2, plainElapsed2 := loop(e, d/4, nil, nil)
+	plain2, plainElapsed2 := loop(e, d/4, 0, nil, nil)
 	plain = append(plain, plain2...)
 	plainElapsed += plainElapsed2
 	tally(&res, plain)
@@ -239,7 +242,9 @@ func runTraced(wl workload, seed int64, d time.Duration, outDir string) (result,
 		tracedRate, plainRate, len(recs), len(plain))
 
 	layerCounts(m, e, recs, before, after)
-	corePhaseMetrics(m, e, recs)
+	if err := corePhaseMetrics(m, e, recs); err != nil {
+		return res, err
+	}
 	m.set("gen.build_s", median(seconds(e.genTimes)))
 	var edges []float64
 	for _, in := range e.insts {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 )
@@ -34,20 +35,66 @@ var endToEndDefs = []metricDef{
 	{"ok_frac", "frac", "higher", 0.01},
 }
 
-// corePhases lists, per algorithm, the phases of ampc.Stats.Phases the
-// traced run reports as core.<algo>.<phase>_ms.  Pipelined configurations
-// merge the rounds of one pipeline segment into one phase named by joining
-// the stages with "+" (written "_" in metric names).
-var corePhases = map[string][]string{
-	algoMIS: {"DirectGraph", "KV-Write", "IsInMIS", "IsInMIS-spill",
-		"KV-Write+IsInMIS+IsInMIS-spill", "IsInMIS+IsInMIS-spill"},
-	algoMM: {"PermuteGraph", "KV-Write", "IsInMM", "IsInMM-spill",
-		"KV-Write+IsInMM+IsInMM-spill", "IsInMM+IsInMM-spill"},
-	algoMSF: {"SortGraph", "KV-Write", "PrimSearch", "KV-Write+PrimSearch",
-		"Combine", "PointerJump", "Contract", "FinishMSF"},
-	algoCC: {"SortGraph", "KV-Write", "PrimSearch", "KV-Write+PrimSearch",
-		"Combine", "PointerJump", "Contract", "FinishMSF", "PointerJump-cc"},
-	algoCycle: {"Sample", "Shuffle", "KV-Write", "Walk", "KV-Write+Walk", "Contract"},
+// phaseSegments lists, per algorithm, the phase sequence of a one-shot job
+// as recorded in ampc.Stats.Phases.  Each inner list is one staged round
+// sequence: at barriers every stage records its own phase, and under
+// Config.Pipeline the sequence records one phase named by joining its
+// stages with "+" (written "_" in metric names).
+var phaseSegments = map[string][][]string{
+	algoMIS: {{"DirectGraph"}, {"KV-Write", "IsInMIS", "IsInMIS-spill"}},
+	algoMM:  {{"PermuteGraph"}, {"KV-Write", "IsInMM", "IsInMM-spill"}},
+	algoMSF: {{"SortGraph"}, {"KV-Write", "PrimSearch"}, {"Combine"}, {"PointerJump"},
+		{"Contract"}, {"FinishMSF"}},
+	algoCC: {{"SortGraph"}, {"KV-Write", "PrimSearch"}, {"Combine"}, {"PointerJump"},
+		{"Contract"}, {"FinishMSF"}, {"PointerJump-cc"}},
+	algoCycle: {{"Sample"}, {"Shuffle"}, {"KV-Write", "Walk"}, {"Contract"}},
+}
+
+// sharedSegments replaces phaseSegments for the jobs a serving session runs
+// on a resident substrate: the graph preparation and KV write happen once,
+// in set-up, and a job runs only the searches.
+var sharedSegments = map[string][][]string{
+	algoMIS: {{"IsInMIS", "IsInMIS-spill"}},
+	algoMM:  {{"IsInMM", "IsInMM-spill"}},
+}
+
+// expectedPhases returns the phases every job of algo records, in order,
+// when rounds are pipelined or not and jobs run on a serving session or
+// one-shot.
+func expectedPhases(algo string, pipelined, serving bool) []string {
+	segs := phaseSegments[algo]
+	if sh, ok := sharedSegments[algo]; ok && serving {
+		segs = sh
+	}
+	var out []string
+	for _, seg := range segs {
+		if pipelined {
+			out = append(out, strings.Join(seg, "+"))
+		} else {
+			out = append(out, seg...)
+		}
+	}
+	return out
+}
+
+// corePhases returns every phase algo records under any configuration:
+// the names core.<algo>.<phase>_ms are reported for.
+func corePhases(algo string) []string {
+	var out []string
+	add := func(ph string) {
+		if !slices.Contains(out, ph) {
+			out = append(out, ph)
+		}
+	}
+	for _, segs := range [][][]string{phaseSegments[algo], sharedSegments[algo]} {
+		for _, seg := range segs {
+			for _, ph := range seg {
+				add(ph)
+			}
+			add(strings.Join(seg, "+"))
+		}
+	}
+	return out
 }
 
 // phaseMetric is the metric name of one core phase.
@@ -60,7 +107,7 @@ func phaseMetric(algo, phase string) string {
 func perLayerDefs() []metricDef {
 	var defs []metricDef
 	for _, algo := range algos {
-		for _, ph := range corePhases[algo] {
+		for _, ph := range corePhases(algo) {
 			defs = append(defs, metricDef{name: phaseMetric(algo, ph), unit: "ms", better: "lower"})
 		}
 	}

@@ -32,57 +32,8 @@ func newOracle(g, wg *graph.Graph, seed int64) *oracle {
 	}
 }
 
-// sameSet reports whether two vertex-membership vectors are identical.
-func sameSet(got, want []bool) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// sameMates reports whether two matchings pair every vertex identically.
-func sameMates(got, want []graph.NodeID) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // sameWeight reports whether two forest weights agree up to the rounding of
 // summing the same edges in a different order.
 func sameWeight(got, want float64) bool {
 	return math.Abs(got-want) <= 1e-9*math.Max(1, math.Abs(want))
-}
-
-// samePartition reports whether two component labelings group the vertices
-// identically, whatever representative each names its components by.
-func samePartition(got, want []graph.NodeID) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	// fwd and back map labels across the two labelings; a labeling is a
-	// renaming of the other exactly when both maps stay consistent.
-	fwd := make(map[graph.NodeID]graph.NodeID)
-	back := make(map[graph.NodeID]graph.NodeID)
-	for i := range got {
-		a, b := got[i], want[i]
-		if m, ok := fwd[a]; ok && m != b {
-			return false
-		}
-		if m, ok := back[b]; ok && m != a {
-			return false
-		}
-		fwd[a], back[b] = b, a
-	}
-	return true
 }

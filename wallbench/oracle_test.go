@@ -12,39 +12,19 @@ import (
 	"ampcgraph/internal/graph"
 )
 
-func TestComparators(t *testing.T) {
-	if !sameSet([]bool{true, false}, []bool{true, false}) || sameSet([]bool{true, false}, []bool{false, false}) {
-		t.Error("sameSet")
-	}
-	if sameSet([]bool{true}, []bool{true, false}) {
-		t.Error("sameSet accepts vectors of different length")
-	}
-	n := graph.None
-	if !sameMates([]graph.NodeID{1, 0, n}, []graph.NodeID{1, 0, n}) || sameMates([]graph.NodeID{1, 0, n}, []graph.NodeID{n, n, n}) {
-		t.Error("sameMates")
-	}
+func TestSameWeight(t *testing.T) {
 	if !sameWeight(1e6, 1e6+1e-5) || sameWeight(10, 10.001) {
 		t.Error("sameWeight")
 	}
-	// The same grouping under other representatives is the same partition.
-	if !samePartition([]graph.NodeID{0, 0, 2, 2}, []graph.NodeID{1, 1, 3, 3}) {
-		t.Error("samePartition rejects a relabeling")
-	}
-	if samePartition([]graph.NodeID{0, 0, 2, 2}, []graph.NodeID{0, 0, 0, 3}) {
-		t.Error("samePartition accepts a merge of two components")
-	}
-	if samePartition([]graph.NodeID{0, 0, 0, 3}, []graph.NodeID{0, 0, 2, 2}) {
-		t.Error("samePartition accepts a split of one component")
-	}
 }
 
-// smallEnv is a workload's environment over two small instances: one
-// with a single cycle, one with two.
-func smallEnv(t *testing.T, serving bool) *env {
+// smallEnv is the named workload's environment over two small instances:
+// one with a single cycle, one with two.
+func smallEnv(t *testing.T, name string) *env {
 	t.Helper()
-	wl := workloads[0]
-	if serving {
-		wl, _ = workloadByName("serving-web")
+	wl, ok := workloadByName(name)
+	if !ok {
+		t.Fatalf("no workload %q", name)
 	}
 	e := &env{wl: wl}
 	t.Cleanup(e.close)
@@ -53,7 +33,7 @@ func smallEnv(t *testing.T, serving bool) *env {
 		g := gen.PreferentialAttachment(300, 3, seed)
 		in := &instance{cfg: wl.config(seed), g: g, wg: gen.DegreeProportionalWeights(g), single: i == 0}
 		in.cyc = gen.OneOrTwoCycles(200, in.single, seed)
-		if serving {
+		if wl.serving {
 			var err error
 			if in.sess, in.misSh, in.mmSh, err = openServing(in.cfg, g); err != nil {
 				t.Fatal(err)
@@ -66,13 +46,13 @@ func smallEnv(t *testing.T, serving bool) *env {
 }
 
 func TestEveryAlgorithmMatchesItsOracle(t *testing.T) {
-	for _, serving := range []bool{false, true} {
-		e := smallEnv(t, serving)
+	for _, wl := range workloads {
+		e := smallEnv(t, wl.name)
 		for _, algo := range e.wl.mix {
 			for pass := 0; pass < 2; pass++ {
 				rec := e.runJob(algo, 0, pass, nil)
 				if rec.err != nil || !rec.correct {
-					t.Errorf("serving=%v %s pass %d: err %v, correct %v", serving, algo, pass, rec.err, rec.correct)
+					t.Errorf("%s %s pass %d: err %v, correct %v", wl.name, algo, pass, rec.err, rec.correct)
 				}
 			}
 		}
@@ -80,7 +60,7 @@ func TestEveryAlgorithmMatchesItsOracle(t *testing.T) {
 }
 
 func TestCheckRejectsWrongOutputs(t *testing.T) {
-	e := smallEnv(t, false)
+	e := smallEnv(t, "oneshot-social")
 	in := e.insts[1] // the two-cycle instance
 	misRes, err := mis.Run(in.g, in.cfg)
 	if err != nil {

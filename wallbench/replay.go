@@ -260,43 +260,17 @@ func replayAMPC(cfg ampc.Config, a adjacency, seed int64, m *metricSet) error {
 	m.set("ampc.round_dispatch_us", float64(time.Since(start).Nanoseconds())/1e3/replayRounds)
 
 	n := len(a.encoded)
-	spans, err := job.OpenStore("replay-spans")
-	if err != nil {
-		return err
-	}
-	ranges := job.OwnedRanges(n)
-	pipe := make([]ampc.Round, replayPipeDepth)
-	stages := make([]ampc.StagedRound, replayPipeDepth)
-	for i := range pipe {
-		pipe[i] = ampc.Round{
-			Name:   fmt.Sprintf("replay-ranged-%d", i),
-			Items:  items,
-			Reads:  []ampc.Access{ampc.RangedBy(spans, ranges)},
-			Writes: []ampc.Access{ampc.RangedBy(spans, ranges)},
-			Body:   noop,
-		}
-		stages[i] = ampc.StagedRound{Phase: pipe[i].Name, Round: pipe[i]}
-	}
-	start = time.Now()
-	for i := 0; i < replayPipelines; i++ {
-		if err := job.RunPipeline(pipe); err != nil {
+	if cfg.Pipeline {
+		if err := replayPipeline(s, job, cfg, n, m); err != nil {
 			return err
 		}
+	} else {
+		// RunPipeline then runs each round at a barrier, and CompilePlan
+		// returns before the plan cache.
+		for _, name := range []string{"ampc.subround_dispatch_us", "ampc.plan_compile_miss_us", "ampc.plan_compile_hit_us"} {
+			m.skip(name, "barrier configuration: no sub-rounds and no plan cache")
+		}
 	}
-	subrounds := replayPipelines * replayPipeDepth * cfg.Machines
-	m.set("ampc.subround_dispatch_us", float64(time.Since(start).Nanoseconds())/1e3/float64(subrounds))
-
-	start = time.Now()
-	for i := 0; i < replayCompiles; i++ {
-		s.CompilePlan(fmt.Sprintf("replay-miss-%d", i), stages)
-	}
-	m.set("ampc.plan_compile_miss_us", float64(time.Since(start).Nanoseconds())/1e3/replayCompiles)
-	s.CompilePlan("replay-hit", stages)
-	start = time.Now()
-	for i := 0; i < replayCompiles; i++ {
-		s.CompilePlan("replay-hit", stages)
-	}
-	m.set("ampc.plan_compile_hit_us", float64(time.Since(start).Nanoseconds())/1e3/replayCompiles)
 
 	keys := randomKeys(n, replayLookups, seed)
 	for _, c := range []struct {
@@ -317,6 +291,51 @@ func replayAMPC(cfg ampc.Config, a adjacency, seed int64, m *metricSet) error {
 		return err
 	}
 	m.set("ampc.readmany_ns_per_key", ns)
+	return nil
+}
+
+// replayPipeline times sub-round dispatch, no-op ranged rounds through
+// RunPipeline, and plan compilation through the session's plan cache, on a
+// pipelined configuration.
+func replayPipeline(s *ampc.Session, job *ampc.Runtime, cfg ampc.Config, n int, m *metricSet) error {
+	items := cfg.Machines * cfg.Threads
+	spans, err := job.OpenStore("replay-spans")
+	if err != nil {
+		return err
+	}
+	ranges := job.OwnedRanges(n)
+	pipe := make([]ampc.Round, replayPipeDepth)
+	stages := make([]ampc.StagedRound, replayPipeDepth)
+	for i := range pipe {
+		pipe[i] = ampc.Round{
+			Name:   fmt.Sprintf("replay-ranged-%d", i),
+			Items:  items,
+			Reads:  []ampc.Access{ampc.RangedBy(spans, ranges)},
+			Writes: []ampc.Access{ampc.RangedBy(spans, ranges)},
+			Body:   noop,
+		}
+		stages[i] = ampc.StagedRound{Phase: pipe[i].Name, Round: pipe[i]}
+	}
+	start := time.Now()
+	for i := 0; i < replayPipelines; i++ {
+		if err := job.RunPipeline(pipe); err != nil {
+			return err
+		}
+	}
+	subrounds := replayPipelines * replayPipeDepth * cfg.Machines
+	m.set("ampc.subround_dispatch_us", float64(time.Since(start).Nanoseconds())/1e3/float64(subrounds))
+
+	start = time.Now()
+	for i := 0; i < replayCompiles; i++ {
+		s.CompilePlan(fmt.Sprintf("replay-miss-%d", i), stages)
+	}
+	m.set("ampc.plan_compile_miss_us", float64(time.Since(start).Nanoseconds())/1e3/replayCompiles)
+	s.CompilePlan("replay-hit", stages)
+	start = time.Now()
+	for i := 0; i < replayCompiles; i++ {
+		s.CompilePlan("replay-hit", stages)
+	}
+	m.set("ampc.plan_compile_hit_us", float64(time.Since(start).Nanoseconds())/1e3/replayCompiles)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -343,13 +344,13 @@ func (in *instance) runServing(rec *jobRecord, algo string, tr *tracer, id int64
 func (in *instance) check(algo string, out any) bool {
 	switch r := out.(type) {
 	case *mis.Result:
-		return algo == algoMIS && sameSet(r.InMIS, in.ora.inMIS)
+		return algo == algoMIS && slices.Equal(r.InMIS, in.ora.inMIS)
 	case *matching.Result:
-		return algo == algoMM && sameMates(r.Matching.Mate, in.ora.mate)
+		return algo == algoMM && slices.Equal(r.Matching.Mate, in.ora.mate)
 	case *msf.Result:
 		return algo == algoMSF && sameWeight(r.TotalWeight, in.ora.msfWeight)
 	case *connectivity.Result:
-		return algo == algoCC && samePartition(r.Components, in.ora.comps)
+		return algo == algoCC && graph.SameComponents(r.Components, in.ora.comps)
 	case *cycle.Result:
 		wantCycles := 2
 		if in.single {
@@ -367,13 +368,14 @@ func (in *instance) check(algo string, out any) bool {
 // (one of the same algorithm per other client) in every run; free-running
 // clients drift, and which job a query happens to overlap then swings its
 // latency between runs by more than any useful bound.  The clock is checked
-// only between passes, so every pass counted is whole.  afterPass, if
-// non-nil, runs after each pass.  runLoop returns every job record and the
-// wall time of the loop.
-func runLoop(clients int, mix []string, d time.Duration, job func(algo string, client, pass int) jobRecord, afterPass func()) ([]jobRecord, time.Duration) {
+// only between passes, so every pass counted is whole, and the loop runs at
+// least minPasses passes however long they take.  afterPass, if non-nil,
+// runs after each pass.  runLoop returns every job record and the wall time
+// of the loop.
+func runLoop(clients int, mix []string, d time.Duration, minPasses int, job func(algo string, client, pass int) jobRecord, afterPass func()) ([]jobRecord, time.Duration) {
 	var recs []jobRecord
 	start := time.Now()
-	for pass := 0; time.Since(start) < d; pass++ {
+	for pass := 0; pass < minPasses || time.Since(start) < d; pass++ {
 		for _, algo := range mix {
 			step := make([]jobRecord, clients)
 			var wg sync.WaitGroup
