@@ -9,7 +9,7 @@ COVER_FLOOR_DHT  ?= 90
 # Per-target budget for the short fuzz pass (fuzz-smoke).
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt ci bench-smoke bench-check cover-check fuzz-smoke examples-smoke backend-matrix chaos-smoke serving-smoke deprecation-gate
+.PHONY: all build test race vet fmt ci wallbench-test bench-smoke bench-check cover-check fuzz-smoke examples-smoke backend-matrix chaos-smoke serving-smoke deprecation-gate
 
 all: build
 
@@ -28,7 +28,15 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 
-ci: fmt vet build test race deprecation-gate cover-check fuzz-smoke bench-check examples-smoke
+ci: fmt vet build test race deprecation-gate cover-check fuzz-smoke bench-check examples-smoke wallbench-test
+
+# wallbench-test vets and tests the wall-clock benchmark.  It is a module of
+# its own (ampcgraph/wallbench, importing the engine through a replace
+# directive), so the root `go build ./...` and `go test ./...` never compile
+# it; this target catches engine API changes that break it.
+wallbench-test:
+	$(GO) -C wallbench vet .
+	$(GO) -C wallbench test .
 
 # deprecation-gate fails when any caller uses the deleted machine-threading
 # exported *From store methods instead of Store.View.  The gate now guards

@@ -23,8 +23,8 @@
 //	g := b.Build()
 //	res, err := ampcgraph.MIS(g, ampcgraph.Config{Machines: 4, Seed: 1})
 //
-// See the examples directory for complete programs, and DESIGN.md /
-// EXPERIMENTS.md for how the paper's tables and figures are regenerated.
+// See the examples directory for complete programs, and the README's
+// "Benchmarks and experiments" section for how the paper's tables and figures are regenerated.
 package ampcgraph
 
 import (

@@ -5,8 +5,9 @@ package ampcgraph
 // corresponding experiment in internal/bench on the smallest Table 2 stand-in
 // (so that `go test -bench=.` finishes quickly) and reports the headline
 // quantity of the experiment as a custom metric.  The cmd/ampcbench tool runs
-// the same experiments on all stand-ins and prints the full tables; see
-// EXPERIMENTS.md for the comparison against the published numbers.
+// the same experiments on all stand-ins and prints the full tables; see the
+// README's "Benchmarks and experiments" section for the comparison against
+// the published numbers.
 
 import (
 	"testing"
@@ -209,7 +210,8 @@ func BenchmarkSection57Connectivity(b *testing.B) {
 	}
 }
 
-// Ablation benches for the design choices called out in DESIGN.md.
+// Ablation benches for the engine's design choices: truncation budget, cycle
+// sampling rate, KKT sampling and the MPC threshold.
 
 // BenchmarkAblationTruncationBudget sweeps the per-search truncation budget
 // of the truncated MIS variant.

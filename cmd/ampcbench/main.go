@@ -11,8 +11,8 @@
 //	ampcbench -experiment locality -datasets OK,TW
 //
 // Each experiment prints a text table whose rows mirror the corresponding
-// table or figure of the paper; EXPERIMENTS.md records how the shapes compare
-// with the published numbers.  Every experiment accepts the same flag set,
+// table or figure of the paper; the README's "Benchmarks and experiments"
+// section records how the shapes compare with the published numbers.  Every experiment accepts the same flag set,
 // registered once by benchFlags: -batch runs the AMPC algorithms through the
 // shard-grouped batch pipeline, -placement selects the shard placement policy
 // (hash, owner, or weighted), -pipeline runs the rounds through the

@@ -29,6 +29,7 @@ type Session struct {
 	mu        sync.Mutex
 	stores    []*dht.Store
 	diskBase  string // per-session parent dir of disk-backend stores
+	diskDirs  int    // disk store directories handed out so far
 	keyspace  int
 	ownership *dht.Ownership
 	caches    map[*dht.Store][]*dht.Cache
@@ -546,7 +547,8 @@ func (s *Session) SharedStore(name string) (st *dht.Store, ok bool) {
 
 // diskDirFor returns a fresh per-store log directory under the session's
 // private disk base, creating the base on first use.  Every store gets its
-// own directory — reusing one would replay another store's logs.
+// own directory — reusing one would replay another store's logs — so the
+// sequence number is reserved here, not taken from the still-growing stores.
 func (s *Session) diskDirFor(name string) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -557,7 +559,8 @@ func (s *Session) diskDirFor(name string) (string, error) {
 		}
 		s.diskBase = base
 	}
-	return filepath.Join(s.diskBase, fmt.Sprintf("%03d-%s", len(s.stores), name)), nil
+	s.diskDirs++
+	return filepath.Join(s.diskBase, fmt.Sprintf("%03d-%s", s.diskDirs-1, name)), nil
 }
 
 // fenceCaches is the per-store cache fence: when store's write count has

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -311,6 +312,55 @@ func TestOpenSharedStoreSharedAcrossJobs(t *testing.T) {
 	rt.Close()
 	if err := st1.Put(1, []byte("x")); err != nil {
 		t.Fatalf("shared store unusable after a job closed: %v", err)
+	}
+}
+
+// TestConcurrentDiskStoresGetDistinctDirs opens one store name from many
+// goroutines on a disk-backed session: every store must get a directory of
+// its own and read back only its own writes.  Two stores sharing a log
+// directory overwrite each other's records.
+func TestConcurrentDiskStoresGetDistinctDirs(t *testing.T) {
+	s := NewSession(Config{Machines: 2, Threads: 1, Seed: 1, Backend: BackendDisk, DiskDir: t.TempDir()})
+	defer s.Close()
+
+	const opens, keys = 8, 64
+	var wg sync.WaitGroup
+	errs := make(chan error, opens)
+	for g := 0; g < opens; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			st, err := s.OpenStore("parents")
+			if err != nil {
+				errs <- err
+				return
+			}
+			for k := uint64(0); k < keys; k++ {
+				if err := st.Put(k, binary.LittleEndian.AppendUint64(nil, uint64(g)<<32|k)); err != nil {
+					errs <- err
+					return
+				}
+			}
+			for k := uint64(0); k < keys; k++ {
+				v, ok, err := st.Get(k)
+				if err != nil || !ok || len(v) != 8 || binary.LittleEndian.Uint64(v) != uint64(g)<<32|k {
+					errs <- fmt.Errorf("store %d key %d: got %x ok=%v err=%v", g, k, v, ok, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	dirs, err := os.ReadDir(s.diskBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dirs) != opens {
+		t.Fatalf("%d stores opened %d directories, want one each", opens, len(dirs))
 	}
 }
 

@@ -9,8 +9,8 @@
 // in one process on synthetic stand-in graphs), so every experiment reports
 // the quantities whose *shape* the paper's conclusions rest on: shuffle
 // counts, bytes moved, phase breakdowns, relative speedups and scaling
-// trends.  EXPERIMENTS.md records the comparison against the published
-// values.
+// trends.  The README's "Benchmarks and experiments" section records the
+// comparison against the published values.
 package bench
 
 import (

@@ -4,6 +4,12 @@
 // (rather than storing Go slices directly) makes the byte counters reported
 // by the runtimes meaningful, which matters because Figures 3 and 9 of the
 // paper are measured in bytes.
+//
+// The lists are read in place: ViewNodeIDs and ViewWeightedNeighbors
+// validate a buffer and return a view (NodeList, WeightedList) whose At reads
+// its bytes, so a search walks an adjacency list without decoding a copy.  A
+// view aliases its buffer — typically a value the key-value store returned —
+// so it is read-only, and nobody may write those bytes while it is in use.
 package codec
 
 import (
@@ -34,22 +40,60 @@ func EncodeNodeIDs(ids []graph.NodeID) []byte {
 	return b
 }
 
-// DecodeNodeIDs decodes a neighbor list encoded by EncodeNodeIDs.
+// NodeList is a read-only view of an EncodeNodeIDs list (see the package
+// doc); the zero value is the empty list.
+type NodeList struct{ b []byte }
+
+// NewNodeList encodes ids as a view over freshly allocated bytes.
+func NewNodeList(ids []graph.NodeID) NodeList { return NodeList{EncodeNodeIDs(ids)} }
+
+// ViewNodeIDs validates b as an EncodeNodeIDs list and returns a view over
+// it without copying.
+func ViewNodeIDs(b []byte) (NodeList, error) {
+	if err := checkList(b, 4); err != nil {
+		return NodeList{}, err
+	}
+	return NodeList{b}, nil
+}
+
+// Len returns the number of entries.
+func (l NodeList) Len() int { return max(len(l.b)-4, 0) / 4 }
+
+// At returns entry i; it panics when i is out of range.
+func (l NodeList) At(i int) graph.NodeID {
+	return graph.NodeID(binary.LittleEndian.Uint32(l.b[4+4*i:]))
+}
+
+// Bytes returns the encoding the view reads (nil for the zero value).
+func (l NodeList) Bytes() []byte { return l.b }
+
+// DecodeNodeIDs decodes a neighbor list encoded by EncodeNodeIDs into a
+// fresh slice.
 func DecodeNodeIDs(b []byte) ([]graph.NodeID, error) {
+	l, err := ViewNodeIDs(b)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]graph.NodeID, l.Len())
+	for i := range out {
+		out[i] = l.At(i)
+	}
+	return out, nil
+}
+
+// checkList validates the length header of a list whose entries take width
+// bytes each.
+func checkList(b []byte, width uint64) error {
 	if len(b) < 4 {
-		return nil, fmt.Errorf("codec: short buffer (%d bytes)", len(b))
+		return fmt.Errorf("codec: short buffer (%d bytes)", len(b))
 	}
 	n := binary.LittleEndian.Uint32(b)
 	// 64-bit arithmetic: a hostile header close to 2^32 must not overflow
 	// the expected length back onto the actual one.
-	if uint64(len(b)) != 4+4*uint64(n) {
-		return nil, fmt.Errorf("codec: length mismatch: header %d, bytes %d", n, len(b))
+	if uint64(len(b)) != 4+width*uint64(n) {
+		return fmt.Errorf("codec: length mismatch: header %d, bytes %d", n, len(b))
 	}
-	out := make([]graph.NodeID, n)
-	for i := range out {
-		out[i] = graph.NodeID(binary.LittleEndian.Uint32(b[4+4*i:]))
-	}
-	return out, nil
+	return nil
 }
 
 // WeightedNeighbor is one entry of a weight-annotated adjacency list.
@@ -69,21 +113,47 @@ func EncodeWeightedNeighbors(ns []WeightedNeighbor) []byte {
 	return b
 }
 
-// DecodeWeightedNeighbors decodes a list encoded by EncodeWeightedNeighbors.
+// WeightedList is a read-only view of an EncodeWeightedNeighbors list (see
+// the package doc); the zero value is the empty list.
+type WeightedList struct{ b []byte }
+
+// NewWeightedList encodes ns as a view over freshly allocated bytes.
+func NewWeightedList(ns []WeightedNeighbor) WeightedList {
+	return WeightedList{EncodeWeightedNeighbors(ns)}
+}
+
+// ViewWeightedNeighbors validates b as an EncodeWeightedNeighbors list and
+// returns a view over it without copying.
+func ViewWeightedNeighbors(b []byte) (WeightedList, error) {
+	if err := checkList(b, 12); err != nil {
+		return WeightedList{}, err
+	}
+	return WeightedList{b}, nil
+}
+
+// Len returns the number of entries.
+func (l WeightedList) Len() int { return max(len(l.b)-4, 0) / 12 }
+
+// At returns entry i; it panics when i is out of range.
+func (l WeightedList) At(i int) WeightedNeighbor {
+	e := l.b[4+12*i:]
+	w := math.Float64frombits(binary.LittleEndian.Uint64(e[4:]))
+	return WeightedNeighbor{Node: graph.NodeID(binary.LittleEndian.Uint32(e)), Weight: w}
+}
+
+// Bytes returns the encoding the view reads (nil for the zero value).
+func (l WeightedList) Bytes() []byte { return l.b }
+
+// DecodeWeightedNeighbors decodes a list encoded by EncodeWeightedNeighbors
+// into a fresh slice.
 func DecodeWeightedNeighbors(b []byte) ([]WeightedNeighbor, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("codec: short buffer (%d bytes)", len(b))
+	l, err := ViewWeightedNeighbors(b)
+	if err != nil {
+		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(b)
-	// 64-bit arithmetic: see DecodeNodeIDs.
-	if uint64(len(b)) != 4+12*uint64(n) {
-		return nil, fmt.Errorf("codec: length mismatch: header %d, bytes %d", n, len(b))
-	}
-	out := make([]WeightedNeighbor, n)
+	out := make([]WeightedNeighbor, l.Len())
 	for i := range out {
-		off := 4 + 12*i
-		out[i].Node = graph.NodeID(binary.LittleEndian.Uint32(b[off:]))
-		out[i].Weight = math.Float64frombits(binary.LittleEndian.Uint64(b[off+4:]))
+		out[i] = l.At(i)
 	}
 	return out, nil
 }

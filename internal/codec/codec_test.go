@@ -104,3 +104,66 @@ func TestUint64RoundTrip(t *testing.T) {
 		t.Fatal("wrong length should fail")
 	}
 }
+
+func TestZeroViewsAreEmpty(t *testing.T) {
+	if n := (NodeList{}).Len(); n != 0 {
+		t.Fatalf("zero NodeList has length %d", n)
+	}
+	if n := (WeightedList{}).Len(); n != 0 {
+		t.Fatalf("zero WeightedList has length %d", n)
+	}
+	if _, err := ViewNodeIDs([]byte{1, 0, 0, 0}); err == nil {
+		t.Fatal("ViewNodeIDs accepted a length mismatch")
+	}
+	if _, err := ViewWeightedNeighbors(nil); err == nil {
+		t.Fatal("ViewWeightedNeighbors accepted a short buffer")
+	}
+}
+
+// sinkID keeps the benchmarks' reads from being optimized away.
+var sinkID graph.NodeID
+
+// benchList is a 64-entry encoded neighbor list, about the mean directed
+// list length of the web-graph stand-ins.
+func benchList() []byte {
+	ids := make([]graph.NodeID, 64)
+	for i := range ids {
+		ids[i] = graph.NodeID(i * 7919)
+	}
+	return EncodeNodeIDs(ids)
+}
+
+// BenchmarkViewNodeIDs validates a list and reads every entry in place: the
+// searches' per-lookup cost, with no allocation.
+func BenchmarkViewNodeIDs(b *testing.B) {
+	enc := benchList()
+	b.ReportAllocs()
+	var sum graph.NodeID
+	for i := 0; i < b.N; i++ {
+		l, err := ViewNodeIDs(enc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := range l.Len() {
+			sum += l.At(j)
+		}
+	}
+	sinkID = sum
+}
+
+// BenchmarkDecodeNodeIDs is the same read through a freshly decoded slice.
+func BenchmarkDecodeNodeIDs(b *testing.B) {
+	enc := benchList()
+	b.ReportAllocs()
+	var sum graph.NodeID
+	for i := 0; i < b.N; i++ {
+		ids, err := DecodeNodeIDs(enc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, id := range ids {
+			sum += id
+		}
+	}
+	sinkID = sum
+}

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"ampcgraph/internal/graph"
@@ -9,7 +10,8 @@ import (
 
 // FuzzDecodeNodeIDs feeds arbitrary bytes to the neighbor-list decoder: it
 // must never panic, and whatever it accepts must re-encode to exactly the
-// input (the encoding is canonical).
+// input (the encoding is canonical).  ViewNodeIDs must accept exactly the
+// same inputs, and its view must read back the decoded list entry by entry.
 func FuzzDecodeNodeIDs(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
@@ -20,29 +22,54 @@ func FuzzDecodeNodeIDs(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0x80})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		ids, err := DecodeNodeIDs(b)
+		l, verr := ViewNodeIDs(b)
+		if (err == nil) != (verr == nil) {
+			t.Fatalf("decoder and view disagree on %x: %v vs %v", b, err, verr)
+		}
 		if err != nil {
 			return
 		}
 		if got := EncodeNodeIDs(ids); !bytes.Equal(got, b) {
 			t.Fatalf("decode/encode not canonical: %x -> %v -> %x", b, ids, got)
 		}
+		if l.Len() != len(ids) {
+			t.Fatalf("view length %d, decoded %d", l.Len(), len(ids))
+		}
+		for i, id := range ids {
+			if l.At(i) != id {
+				t.Fatalf("view entry %d = %d, decoded %d", i, l.At(i), id)
+			}
+		}
 	})
 }
 
 // FuzzDecodeWeightedNeighbors is the same property for the weighted
-// adjacency encoding.  NaN weights are allowed in the wire format; the
-// re-encode comparison is on bytes, so NaN bit patterns round-trip exactly.
+// adjacency encoding and its view.  NaN weights are allowed in the wire
+// format; the comparisons are on bit patterns, so NaNs round-trip exactly.
 func FuzzDecodeWeightedNeighbors(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add(EncodeWeightedNeighbors([]WeightedNeighbor{{Node: 1, Weight: 0.5}, {Node: 2, Weight: -3}}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		ns, err := DecodeWeightedNeighbors(b)
+		l, verr := ViewWeightedNeighbors(b)
+		if (err == nil) != (verr == nil) {
+			t.Fatalf("decoder and view disagree on %x: %v vs %v", b, err, verr)
+		}
 		if err != nil {
 			return
 		}
 		if got := EncodeWeightedNeighbors(ns); !bytes.Equal(got, b) {
 			t.Fatalf("decode/encode not canonical: %x -> %v -> %x", b, ns, got)
+		}
+		if l.Len() != len(ns) {
+			t.Fatalf("view length %d, decoded %d", l.Len(), len(ns))
+		}
+		for i, wn := range ns {
+			got := l.At(i)
+			if got.Node != wn.Node || math.Float64bits(got.Weight) != math.Float64bits(wn.Weight) {
+				t.Fatalf("view entry %d = %v, decoded %v", i, got, wn)
+			}
 		}
 	})
 }

@@ -16,7 +16,7 @@ import (
 // single-key implementation is one key-value round trip.  The batched round
 // drives all of a block's walks as pull-based iterators (ampc.Stream) — one
 // shard-grouped ReadMany per cycle serves every walk in the block — and a
-// per-block map of decoded adjacency lists means a cycle segment shared by
+// per-block map of fetched adjacency lists means a cycle segment shared by
 // two walks is fetched once.  The walks themselves are unchanged, so the
 // contracted multigraph (and the 1-vs-2 answer) is identical to the
 // unbatched run.
@@ -53,7 +53,7 @@ func batchWalkRound(rt *ampc.Runtime, store *dht.Store, g *graph.Graph,
 			// Fetched lists persist for the whole block, so the two walks
 			// covering one cycle segment in opposite directions fetch each
 			// vertex of the segment only once.
-			adj := make(map[graph.NodeID][]graph.NodeID)
+			adj := make(map[graph.NodeID]codec.NodeList)
 			var walkErr error
 			var its []ampc.Iterator
 			for i := lo; i < hi; i++ {
@@ -70,9 +70,9 @@ func batchWalkRound(rt *ampc.Runtime, store *dht.Store, g *graph.Graph,
 							if !ok {
 								return uint64(w.cur), true
 							}
-							next := nbrs[0]
+							next := nbrs.At(0)
 							if next == w.prev {
-								next = nbrs[1]
+								next = nbrs.At(1)
 							}
 							w.prev, w.cur = w.cur, next
 							w.steps++
@@ -91,7 +91,7 @@ func batchWalkRound(rt *ampc.Runtime, store *dht.Store, g *graph.Graph,
 				if !ok {
 					return fmt.Errorf("cycle: vertex %d missing from the key-value store", k)
 				}
-				nbrs, err := codec.DecodeNodeIDs(raw)
+				nbrs, err := codec.ViewNodeIDs(raw)
 				if err != nil {
 					return err
 				}

@@ -220,13 +220,13 @@ func walk(ctx *ampc.Ctx, start, first graph.NodeID, sampled []bool, n int) (grap
 		if !ok {
 			return graph.None, 0, fmt.Errorf("cycle: vertex %d missing from the key-value store", cur)
 		}
-		nbrs, err := codec.DecodeNodeIDs(raw)
+		nbrs, err := codec.ViewNodeIDs(raw)
 		if err != nil {
 			return graph.None, 0, err
 		}
-		next := nbrs[0]
+		next := nbrs.At(0)
 		if next == prev {
-			next = nbrs[1]
+			next = nbrs.At(1)
 		}
 		prev, cur = cur, next
 		steps++

@@ -1,11 +1,13 @@
 package matching
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"ampcgraph/internal/ampc"
+	"ampcgraph/internal/codec"
 	"ampcgraph/internal/gen"
 	"ampcgraph/internal/graph"
 	"ampcgraph/internal/rng"
@@ -348,5 +350,42 @@ func TestWeightEdgeRankOrdersByWeight(t *testing.T) {
 	}
 	if rank(0, 1) != rank(1, 0) {
 		t.Fatal("rank not symmetric")
+	}
+}
+
+// TestFetchNeighborsAllocatesNothing pins the zero-copy read path: a
+// single-key adjacency fetch from a frozen mem store, with the read cache
+// off, returns a view over the stored bytes without allocating.
+func TestFetchNeighborsAllocatesNothing(t *testing.T) {
+	rt := ampc.New(ampc.Config{Machines: 1, Threads: 1, Seed: 1})
+	defer rt.Close()
+	store, err := rt.OpenStore("adjacency")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(7, codec.EncodeNodeIDs([]graph.NodeID{1, 2, 3})); err != nil {
+		t.Fatal(err)
+	}
+	store.Freeze()
+	var allocs float64
+	var fetchErr error
+	err = rt.Run(ampc.Round{Name: "fetch", Items: 1, Read: store, Body: func(ctx *ampc.Ctx, _ int) error {
+		s := &searcher{ctx: ctx}
+		allocs = testing.AllocsPerRun(100, func() {
+			l, err := s.fetchNeighbors(7)
+			if err == nil && (l.Len() != 3 || l.At(2) != 3) {
+				err = fmt.Errorf("fetched %v", l)
+			}
+			if err != nil && fetchErr == nil {
+				fetchErr = err
+			}
+		})
+		return nil
+	}})
+	if err != nil || fetchErr != nil {
+		t.Fatal(err, fetchErr)
+	}
+	if allocs != 0 {
+		t.Fatalf("fetchNeighbors allocates %v times per call, want 0", allocs)
 	}
 }

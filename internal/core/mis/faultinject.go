@@ -1,10 +1,9 @@
 package mis
 
 import (
-	"sort"
+	"sync"
 
 	"ampcgraph/internal/ampc"
-	"ampcgraph/internal/codec"
 	"ampcgraph/internal/dht"
 	"ampcgraph/internal/graph"
 	"ampcgraph/internal/rng"
@@ -25,37 +24,11 @@ func runWithFaultInjection(rt *ampc.Runtime, g *graph.Graph, inject func([]store
 	n := g.NumNodes()
 	rt.SetOwnership(graph.DegreeWeights(g))
 	prio := rng.VertexPriorities(cfg.Seed, n)
-	less := func(a, b graph.NodeID) bool {
-		if prio[a] != prio[b] {
-			return prio[a] < prio[b]
-		}
-		return a < b
-	}
-	directed := make([][]graph.NodeID, n)
-	for v := 0; v < n; v++ {
-		nv := graph.NodeID(v)
-		var earlier []graph.NodeID
-		for _, u := range g.Neighbors(nv) {
-			if less(u, nv) {
-				earlier = append(earlier, u)
-			}
-		}
-		sort.Slice(earlier, func(i, j int) bool { return less(earlier[i], earlier[j]) })
-		directed[v] = earlier
-	}
-	store, err := rt.OpenStore("directed-graph")
+	directed, store, write, err := directedStore(rt, g, prio)
 	if err != nil {
 		return nil, err
 	}
-	err = rt.Run(ampc.Round{
-		Name:        "kv-write",
-		Items:       n,
-		Partitioner: rt.OwnerPartitioner(n),
-		Body: func(ctx *ampc.Ctx, item int) error {
-			return ctx.Write(store, uint64(item), codec.EncodeNodeIDs(directed[item]))
-		},
-	})
-	if err != nil {
+	if err := rt.Run(write); err != nil {
 		return nil, err
 	}
 
@@ -66,21 +39,8 @@ func runWithFaultInjection(rt *ampc.Runtime, g *graph.Graph, inject func([]store
 	for i := range caches {
 		caches[i] = newStatusCache()
 	}
-	err = rt.Run(ampc.Round{
-		Name:        "is-in-mis",
-		Items:       n,
-		Read:        store,
-		Partitioner: rt.OwnerPartitioner(n),
-		Body: func(ctx *ampc.Ctx, item int) error {
-			s := &searcher{ctx: ctx, cache: caches[ctx.Machine], prio: prio}
-			in, err := s.inMIS(graph.NodeID(item), directed[item])
-			if err != nil {
-				return err
-			}
-			inMIS[item] = in
-			return nil
-		},
-	})
+	var mu sync.Mutex
+	err = rt.Run(searchRound(rt, "is-in-mis", store, directed, prio, caches, inMIS, make([]bool, n), &mu, nil))
 	if err != nil {
 		return nil, err
 	}

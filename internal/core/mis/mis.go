@@ -98,9 +98,11 @@ func RunTruncated(g *graph.Graph, cfg ampc.Config) (*Result, error) {
 }
 
 // directGraph runs the DirectGraph shuffle (Step 1): every vertex keeps only
-// its neighbors of higher priority (earlier rank), sorted by rank.  In the
-// dataflow implementation this is the single shuffle of the algorithm.
-func directGraph(rt *ampc.Runtime, g *graph.Graph, prio []uint64) ([][]graph.NodeID, error) {
+// its neighbors of higher priority (earlier rank), sorted by rank and
+// encoded once — the same bytes are the KV-write value and the searches'
+// local view of the vertex's own list.  In the dataflow implementation this
+// is the single shuffle of the algorithm.
+func directGraph(rt *ampc.Runtime, g *graph.Graph, prio []uint64) ([]codec.NodeList, error) {
 	n := g.NumNodes()
 	less := func(a, b graph.NodeID) bool {
 		if prio[a] != prio[b] {
@@ -108,19 +110,20 @@ func directGraph(rt *ampc.Runtime, g *graph.Graph, prio []uint64) ([][]graph.Nod
 		}
 		return a < b
 	}
-	directed := make([][]graph.NodeID, n)
+	directed := make([]codec.NodeList, n)
 	err := rt.Phase("DirectGraph", func() error {
 		var bytes int64
+		var earlier []graph.NodeID
 		for v := 0; v < n; v++ {
 			nv := graph.NodeID(v)
-			var earlier []graph.NodeID
+			earlier = earlier[:0]
 			for _, u := range g.Neighbors(nv) {
 				if less(u, nv) {
 					earlier = append(earlier, u)
 				}
 			}
 			sort.Slice(earlier, func(i, j int) bool { return less(earlier[i], earlier[j]) })
-			directed[v] = earlier
+			directed[v] = codec.NewNodeList(earlier)
 			bytes += int64(codec.SizeOfNodeList(len(earlier)))
 		}
 		rt.RecordShuffle("direct-graph", bytes)
@@ -135,7 +138,7 @@ func directGraph(rt *ampc.Runtime, g *graph.Graph, prio []uint64) ([][]graph.Nod
 // directedStore runs the DirectGraph shuffle and prepares the store holding
 // the directed graph plus the KV-write round that fills it — the shared
 // prefix of the single-pass plan and the truncated driver.
-func directedStore(rt *ampc.Runtime, g *graph.Graph, prio []uint64) ([][]graph.NodeID, *dht.Store, ampc.Round, error) {
+func directedStore(rt *ampc.Runtime, g *graph.Graph, prio []uint64) ([]codec.NodeList, *dht.Store, ampc.Round, error) {
 	directed, err := directGraph(rt, g, prio)
 	if err != nil {
 		return nil, nil, ampc.Round{}, err
@@ -145,7 +148,7 @@ func directedStore(rt *ampc.Runtime, g *graph.Graph, prio []uint64) ([][]graph.N
 		return nil, nil, ampc.Round{}, err
 	}
 	write := rt.WriteTableRound("kv-write", store, g.NumNodes(), 1, func(item int) []byte {
-		return codec.EncodeNodeIDs(directed[item])
+		return directed[item].Bytes()
 	})
 	return directed, store, write, nil
 }
@@ -369,7 +372,7 @@ func run(g *graph.Graph, cfg ampc.Config, budget int) (*Result, error) {
 // needs a key outside the range escapes and is left unresolved for the spill
 // stage, which passes spans == nil and finishes the remainder against the
 // whole store.
-func searchRound(rt *ampc.Runtime, name string, store *dht.Store, directed [][]graph.NodeID, prio []uint64,
+func searchRound(rt *ampc.Runtime, name string, store *dht.Store, directed []codec.NodeList, prio []uint64,
 	caches []*statusCache, inMIS, resolved []bool, mu *sync.Mutex, spans []dht.RangeSet) ampc.Round {
 	n := len(directed)
 	return ampc.Round{
@@ -431,9 +434,10 @@ type searcher struct {
 }
 
 // inMIS reports whether v belongs to the MIS.  neighbors is v's directed
-// (earlier, rank-sorted) neighborhood; pass nil to have it fetched from the
-// store.
-func (s *searcher) inMIS(v graph.NodeID, neighbors []graph.NodeID) (bool, error) {
+// (earlier, rank-sorted) neighborhood; an empty list is fetched from the
+// store, so a vertex without earlier neighbors pays its lookup like every
+// recursive visit does.
+func (s *searcher) inMIS(v graph.NodeID, neighbors codec.NodeList) (bool, error) {
 	if st := s.cache.get(v); st != statusUnknown {
 		return st == statusIn, nil
 	}
@@ -447,7 +451,7 @@ func (s *searcher) inMIS(v graph.NodeID, neighbors []graph.NodeID) (bool, error)
 			return in, nil
 		}
 	}
-	if neighbors == nil {
+	if neighbors.Len() == 0 {
 		var err error
 		neighbors, err = s.fetchNeighbors(v)
 		if err != nil {
@@ -455,8 +459,8 @@ func (s *searcher) inMIS(v graph.NodeID, neighbors []graph.NodeID) (bool, error)
 		}
 	}
 	s.ctx.ChargeCompute(1)
-	for _, u := range neighbors {
-		in, err := s.inMIS(u, nil)
+	for i := range neighbors.Len() {
+		in, err := s.inMIS(neighbors.At(i), codec.NodeList{})
 		if err != nil {
 			return false, err
 		}
@@ -469,24 +473,24 @@ func (s *searcher) inMIS(v graph.NodeID, neighbors []graph.NodeID) (bool, error)
 	return true, nil
 }
 
-func (s *searcher) fetchNeighbors(v graph.NodeID) ([]graph.NodeID, error) {
+func (s *searcher) fetchNeighbors(v graph.NodeID) (codec.NodeList, error) {
 	if !s.span.Contains(uint64(v)) {
-		return nil, errEscape
+		return codec.NodeList{}, errEscape
 	}
 	if s.budget > 0 {
 		s.queries++
 		if s.queries > s.budget {
-			return nil, errTruncated
+			return codec.NodeList{}, errTruncated
 		}
 	}
 	raw, ok, err := s.ctx.Lookup(uint64(v))
 	if err != nil {
-		return nil, err
+		return codec.NodeList{}, err
 	}
 	if !ok {
-		return nil, fmt.Errorf("mis: vertex %d missing from the key-value store", v)
+		return codec.NodeList{}, fmt.Errorf("mis: vertex %d missing from the key-value store", v)
 	}
-	return codec.DecodeNodeIDs(raw)
+	return codec.ViewNodeIDs(raw)
 }
 
 func (s *searcher) ctxLookupStatus(v graph.NodeID) (status, bool, error) {

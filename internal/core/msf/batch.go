@@ -28,7 +28,7 @@ type primState struct {
 	prio   []uint64
 	budget int
 	start  graph.NodeID
-	lists  map[graph.NodeID][]codec.WeightedNeighbor // shared per block
+	lists  map[graph.NodeID]codec.WeightedList // shared per block
 
 	out     *primOutcome
 	heap    primHeap
@@ -86,7 +86,7 @@ func (h *primHeap) pop() primCand {
 }
 
 func newPrimState(ctx *ampc.Ctx, prio []uint64, budget int, start graph.NodeID,
-	startAdj []codec.WeightedNeighbor, lists map[graph.NodeID][]codec.WeightedNeighbor) *primState {
+	startAdj codec.WeightedList, lists map[graph.NodeID]codec.WeightedList) *primState {
 	s := &primState{
 		ctx:     ctx,
 		prio:    prio,
@@ -101,9 +101,10 @@ func newPrimState(ctx *ampc.Ctx, prio []uint64, budget int, start graph.NodeID,
 	return s
 }
 
-func (s *primState) addVertex(v graph.NodeID, adj []codec.WeightedNeighbor) {
-	s.ctx.ChargeCompute(len(adj) + 1)
-	for _, wn := range adj {
+func (s *primState) addVertex(v graph.NodeID, adj codec.WeightedList) {
+	s.ctx.ChargeCompute(adj.Len() + 1)
+	for i := range adj.Len() {
+		wn := adj.At(i)
 		if !s.inTree[wn.Node] {
 			s.heap.push(primCand{edge: graph.WeightedEdge{U: v, V: wn.Node, W: wn.Weight}, from: v})
 		}
@@ -162,7 +163,7 @@ func (s *primState) advance() graph.NodeID {
 // vertices, handing every search's outcome to commit (called under the
 // caller's lock); the caller runs it (or stages it into a pipeline).
 func batchPrimRound(rt *ampc.Runtime, name string, store *dht.Store,
-	sorted [][]codec.WeightedNeighbor, prio []uint64, budget int,
+	sorted []codec.WeightedList, prio []uint64, budget int,
 	mu *sync.Mutex, commit func(start graph.NodeID, out *primOutcome)) ampc.Round {
 	n := len(sorted)
 	size := rt.Config().BatchSize
@@ -173,7 +174,7 @@ func batchPrimRound(rt *ampc.Runtime, name string, store *dht.Store,
 		Partitioner: rt.BlockOwnerPartitioner(size, n),
 		Body: func(ctx *ampc.Ctx, block int) error {
 			lo, hi := ampc.BlockBounds(block, size, n)
-			lists := make(map[graph.NodeID][]codec.WeightedNeighbor, hi-lo)
+			lists := make(map[graph.NodeID]codec.WeightedList, hi-lo)
 			// Seed the block's own adjacency lists so intra-block
 			// expansions do not refetch data already in memory.
 			for v := lo; v < hi; v++ {
@@ -197,7 +198,7 @@ func batchPrimRound(rt *ampc.Runtime, name string, store *dht.Store,
 					if !ok {
 						return fmt.Errorf("msf: vertex %d missing from the key-value store", k)
 					}
-					adj, err := codec.DecodeWeightedNeighbors(raw)
+					adj, err := codec.ViewWeightedNeighbors(raw)
 					if err != nil {
 						return err
 					}

@@ -109,15 +109,15 @@ func runPrimPipeline(rt *ampc.Runtime, g *graph.Graph, tag string) (*Result, err
 	budget := cfg.SpaceBudget(n)
 
 	// Phase 1: sort each adjacency list by edge weight (one shuffle).
-	sorted := make([][]codec.WeightedNeighbor, n)
+	sorted := make([]codec.WeightedList, n)
 	err := rt.Phase("SortGraph"+tag, func() error {
 		var bytes int64
+		var ws []codec.WeightedNeighbor
 		for v := 0; v < n; v++ {
 			nv := graph.NodeID(v)
-			nbrs := g.Neighbors(nv)
-			ws := make([]codec.WeightedNeighbor, len(nbrs))
-			for i, u := range nbrs {
-				ws[i] = codec.WeightedNeighbor{Node: u, Weight: g.EdgeWeight(nv, i)}
+			ws = ws[:0]
+			for i, u := range g.Neighbors(nv) {
+				ws = append(ws, codec.WeightedNeighbor{Node: u, Weight: g.EdgeWeight(nv, i)})
 			}
 			sort.Slice(ws, func(i, j int) bool {
 				return edgeLess(
@@ -125,7 +125,7 @@ func runPrimPipeline(rt *ampc.Runtime, g *graph.Graph, tag string) (*Result, err
 					graph.WeightedEdge{U: nv, V: ws[j].Node, W: ws[j].Weight},
 				)
 			})
-			sorted[v] = ws
+			sorted[v] = codec.NewWeightedList(ws)
 			bytes += int64(codec.SizeOfWeightedList(len(ws)))
 		}
 		rt.RecordShuffle("sort-graph"+tag, bytes)
@@ -141,7 +141,7 @@ func runPrimPipeline(rt *ampc.Runtime, g *graph.Graph, tag string) (*Result, err
 		return nil, err
 	}
 	writeRound := rt.WriteTableRound("kv-write"+tag, store, n, 1, func(item int) []byte {
-		return codec.EncodeWeightedNeighbors(sorted[item])
+		return sorted[item].Bytes()
 	})
 
 	// Phase 3: truncated Prim search from every vertex.
@@ -323,16 +323,17 @@ type primSearcher struct {
 	budget int
 }
 
-func (s *primSearcher) search(start graph.NodeID, startAdj []codec.WeightedNeighbor) (*primOutcome, error) {
+func (s *primSearcher) search(start graph.NodeID, startAdj codec.WeightedList) (*primOutcome, error) {
 	out := &primOutcome{stoppedAt: graph.None}
 	inTree := map[graph.NodeID]bool{start: true}
 	// Candidate edges out of the explored set, ordered by the global edge
 	// order; primHeap (batch.go) is shared with the resumable batched search
 	// so the two cannot diverge.
 	var heap primHeap
-	addVertex := func(v graph.NodeID, adj []codec.WeightedNeighbor) {
-		s.ctx.ChargeCompute(len(adj) + 1)
-		for _, wn := range adj {
+	addVertex := func(v graph.NodeID, adj codec.WeightedList) {
+		s.ctx.ChargeCompute(adj.Len() + 1)
+		for i := range adj.Len() {
+			wn := adj.At(i)
 			if !inTree[wn.Node] {
 				heap.push(primCand{edge: graph.WeightedEdge{U: v, V: wn.Node, W: wn.Weight}, from: v})
 			}
@@ -370,15 +371,15 @@ func (s *primSearcher) search(start graph.NodeID, startAdj []codec.WeightedNeigh
 	return out, nil
 }
 
-func (s *primSearcher) fetch(v graph.NodeID) ([]codec.WeightedNeighbor, error) {
+func (s *primSearcher) fetch(v graph.NodeID) (codec.WeightedList, error) {
 	raw, ok, err := s.ctx.Lookup(uint64(v))
 	if err != nil {
-		return nil, err
+		return codec.WeightedList{}, err
 	}
 	if !ok {
-		return nil, fmt.Errorf("msf: vertex %d missing from the key-value store", v)
+		return codec.WeightedList{}, fmt.Errorf("msf: vertex %d missing from the key-value store", v)
 	}
-	return codec.DecodeWeightedNeighbors(raw)
+	return codec.ViewWeightedNeighbors(raw)
 }
 
 // PointerJump resolves every vertex's pointer chain to its root using the

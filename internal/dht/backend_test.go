@@ -353,6 +353,29 @@ func TestDiskBackendCrashReopen(t *testing.T) {
 	}
 }
 
+// TestDiskBackendReadAfterCloseFails pins that a read reaching a closed disk
+// backend — the losing copy of a hedged read outliving its store — returns
+// an error instead of dereferencing the released shard tables.
+func TestDiskBackendReadAfterCloseFails(t *testing.T) {
+	s, err := NewStore("d", Options{Shards: 2, Backend: BackendDisk, DiskDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(1, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	shard := s.shardIndexFor(1)
+	if _, _, _, err := s.backend.Get(shard, 1); err == nil {
+		t.Fatal("Get on a closed disk backend succeeded")
+	}
+	if _, _, _, err := s.backend.BatchGet(shard, []uint64{1}); err == nil {
+		t.Fatal("BatchGet on a closed disk backend succeeded")
+	}
+}
+
 func TestDiskBackendStatsTrackFootprint(t *testing.T) {
 	s := storeForBackend(t, BackendDisk, Options{Shards: 4})
 	payload := make([]byte, 4096)

@@ -2,6 +2,7 @@ package dht
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -246,10 +247,18 @@ func (b *diskBackend) accountWrite(recBytes int64, newKey bool, newExtent bool) 
 	b.resident.Add(res)
 }
 
+// errDiskClosed is returned by reads on a closed disk backend: the losing
+// copy of a hedged read (Store.hedgedBatchGet) can still be in flight after
+// its round finished and the store was closed.
+var errDiskClosed = errors.New("dht: disk backend is closed")
+
 func (b *diskBackend) Get(shard int, key uint64) ([]byte, bool, bool, error) {
 	sh := b.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
+	if sh.prim == nil {
+		return nil, false, false, errDiskClosed
+	}
 	if sh.failed {
 		if sh.rep == nil {
 			return nil, false, false, ErrUnavailable
@@ -298,6 +307,9 @@ func (b *diskBackend) BatchGet(shard int, keys []uint64) ([][]byte, []bool, int,
 	sh := b.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
+	if sh.prim == nil {
+		return nil, nil, 0, errDiskClosed
+	}
 	if sh.failed && sh.rep == nil {
 		return nil, nil, 0, ErrUnavailable
 	}
