@@ -93,16 +93,20 @@ serving-smoke:
 	$(GO) test -race -short -run 'TestServing|TestConcurrentJobs|TestMaxJobs|TestAdmission|TestJobCancel|TestPlanCache|TestCompilePlan|TestNewJobOnClosed|TestOpenSharedStore|TestConcurrentMakespan' ./internal/ampc/ ./internal/bench/ ./internal/simtime/
 	$(GO) test -run 'TestServingSmokeMeetsAcceptance|TestConcurrentJobsByteIdenticalAcrossBackends' ./internal/bench/
 
-# bench-smoke runs the pinned-seed batched-vs-unbatched comparison (OK and
-# TW stand-ins, seed 1) and writes the machine-readable snapshot that tracks
-# the batching win across the repository's history.
+# bench-smoke runs the pinned-seed smoke benchmark (seed 1) and writes the
+# machine-readable snapshot of its eight gated sections: batching (OK and TW
+# stand-ins), rebalance, backend, pipeline, locality, adaptive ownership,
+# chaos and serving.
 bench-smoke:
 	$(GO) run ./cmd/ampcbench -experiment batch -json BENCH_smoke.json
 
-# bench-check re-runs the pinned-seed smoke benchmark and fails when
-# visit_reduction or sim_speedup regresses >10% against the committed
-# BENCH_smoke.json.  The fresh measurement lands in BENCH_fresh.json
-# (uploaded as an artifact by the bench-regression CI job).
+# bench-check re-runs the pinned-seed smoke benchmark and checks all eight
+# sections against the committed BENCH_smoke.json: identical outputs and the
+# other invariants, fractional metrics within 10%, and the committed
+# variance-derived floors and ceilings.  The gate table in
+# internal/bench/smokecheck.go is the source of truth.  The fresh
+# measurement lands in BENCH_fresh.json (uploaded as an artifact by the
+# bench-regression CI job).
 bench-check:
 	$(GO) run ./cmd/benchcheck -baseline BENCH_smoke.json -out BENCH_fresh.json
 

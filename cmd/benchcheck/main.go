@@ -1,18 +1,22 @@
-// Command benchcheck guards the batching win recorded in BENCH_smoke.json.
+// Command benchcheck guards the gated sections of BENCH_smoke.json.
 //
-// It re-runs the pinned-seed batched-vs-unbatched smoke benchmark with the
-// exact configuration recorded in the committed snapshot (seed, datasets,
-// machines, threads), writes the fresh result next to it, and fails when the
-// fresh visit_reduction or sim_speedup of any (graph, algorithm) row
-// regresses by more than the tolerance against the committed value — or when
-// the batched run stops producing byte-identical results.  CI runs it as the
-// bench-regression job (`make bench-check`) and uploads the fresh JSON as an
-// artifact, so a PR that erodes the batching win fails visibly instead of
-// silently.
+// It re-runs the pinned-seed smoke benchmark with the exact configuration
+// recorded in the committed snapshot (seed, datasets, machines, threads),
+// writes the fresh result next to it, and checks all eight sections against
+// the committed rows: batching, rebalance, backend, pipeline, locality,
+// adaptive ownership, chaos and serving.  A row fails when it goes missing,
+// when its outputs stop being byte-identical to the reference run (or
+// another of its invariants breaks), or when a gated metric crosses its
+// bound: a fractional tolerance against the committed value for the
+// deterministic ratios, the committed variance-derived floor or ceiling for
+// the noisy means.  The gate table in internal/bench (smokeSections, checked
+// by bench.CheckSmoke) is the source of truth for every section's
+// invariants, metrics and bounds.  CI runs it as the bench-regression job
+// (`make bench-check`) and uploads the fresh JSON as an artifact.
 //
 // Usage:
 //
-//	benchcheck [-baseline BENCH_smoke.json] [-out BENCH_fresh.json] [-tolerance 0.10]
+//	benchcheck [-baseline BENCH_smoke.json] [-out BENCH_fresh.json] [-tolerance 0.10] [-runs 2]
 package main
 
 import (
@@ -43,19 +47,12 @@ func main() {
 
 	// Re-run with the exact pinned configuration of the committed snapshot.
 	// The metrics depend slightly on goroutine scheduling (racy cache fills
-	// change which lookups reach the store), so each metric keeps its best
-	// value over -runs measurements (bench.MergeBestRows): noise cannot
-	// fail the gate, while a real regression persists across every run.
-	freshRows := make(map[string]bench.BatchRow, len(baseline.Rows))
-	freshRebalance := make(map[string]bench.RebalanceSmokeRow, len(baseline.Rebalance))
-	freshBackend := make(map[string]bench.BackendSmokeRow, len(baseline.Backend))
-	freshPipeline := make(map[string]bench.PipelineRow, len(baseline.Pipeline))
-	freshLocality := make(map[string]bench.LocalitySmokeRow, len(baseline.Locality))
-	freshAdaptive := make(map[string]bench.AdaptiveRow, len(baseline.Adaptive))
-	freshChaos := make(map[string]bench.ChaosSmokeRow, len(baseline.Chaos))
-	freshServing := make(map[string]bench.ServingRow, len(baseline.Serving))
+	// change which lookups reach the store), so CheckSmoke keeps each
+	// metric's best value over the -runs measurements: noise cannot fail the
+	// gate, while a real regression persists across every run.
+	var fresh []bench.Smoke
 	for attempt := 0; attempt < *runs; attempt++ {
-		fresh, _, err := bench.BatchSmoke(bench.Options{
+		run, _, err := bench.BatchSmoke(bench.Options{
 			Seed:     baseline.Seed,
 			Datasets: baseline.Datasets,
 			Scale:    baseline.Scale,
@@ -67,31 +64,15 @@ func main() {
 		}
 		if attempt == 0 {
 			// The artifact records one representative measurement.
-			if err := bench.WriteSmokeJSON(*outPath, fresh); err != nil {
+			if err := bench.WriteSmokeJSON(*outPath, run); err != nil {
 				fatalf("writing %s: %v", *outPath, err)
 			}
 			fmt.Printf("wrote %s\n", *outPath)
 		}
-		bench.MergeBestRows(freshRows, fresh.Rows)
-		// The rebalance and backend rows' gate metrics are deterministic
-		// for the pinned seed, so any run's computation is authoritative
-		// (no best-of merging).
-		for _, row := range fresh.Rebalance {
-			freshRebalance[row.Graph] = row
-		}
-		for _, row := range fresh.Backend {
-			freshBackend[row.Graph+"/"+row.Backend] = row
-		}
-		// The pipeline, locality and adaptive rows' metrics are noisy by
-		// nature; keep the best run per row, mirroring the batch rows.
-		bench.MergeBestPipelineRows(freshPipeline, fresh.Pipeline)
-		bench.MergeBestLocalityRows(freshLocality, fresh.Locality)
-		bench.MergeBestAdaptiveRows(freshAdaptive, fresh.Adaptive)
-		bench.MergeBestChaosRows(freshChaos, fresh.Chaos)
-		bench.MergeBestServingRows(freshServing, fresh.Serving)
+		fresh = append(fresh, run)
 	}
 
-	lines, failures := bench.CheckSmoke(baseline, freshRows, freshRebalance, freshBackend, freshPipeline, freshLocality, freshAdaptive, freshChaos, freshServing, *tolerance)
+	lines, failures := bench.CheckSmoke(baseline, fresh, *tolerance)
 	for _, line := range lines {
 		fmt.Println(line)
 	}

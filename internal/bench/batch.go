@@ -61,6 +61,23 @@ func newBatchRow(graph, algo string, identical bool, off, on ampc.Stats) BatchRo
 // identical and measuring the shard-visit and modeled-time reduction.
 func BatchComparison(opts Options) ([]BatchRow, Report, error) {
 	opts = opts.withDefaults()
+	cfgOff := opts.ampcConfig()
+	cfgOff.Batch = false
+	cfgOn := cfgOff
+	cfgOn.Batch = true
+	pairs, err := compareConfigs(opts, cfgOff, cfgOn)
+	if err != nil {
+		return nil, batchReport(nil), err
+	}
+	var rows []BatchRow
+	for _, p := range pairs {
+		rows = append(rows, newBatchRow(p.Graph, p.Algo, p.Identical, p.A, p.B))
+	}
+	return rows, batchReport(rows), nil
+}
+
+// batchReport renders the batched-vs-unbatched rows.
+func batchReport(rows []BatchRow) Report {
 	rep := Report{
 		Title: "Batched vs unbatched key-value pipeline (shard lock acquisitions)",
 		Header: fmt.Sprintf("%-8s %-5s %10s %12s %12s %10s %10s %9s",
@@ -70,29 +87,18 @@ func BatchComparison(opts Options) ([]BatchRow, Report, error) {
 			"results are required to be byte-identical with batching on and off",
 		},
 	}
-	cfgOff := opts.ampcConfig()
-	cfgOff.Batch = false
-	cfgOn := cfgOff
-	cfgOn.Batch = true
-	pairs, err := compareConfigs(opts, cfgOff, cfgOn)
-	if err != nil {
-		return nil, rep, err
-	}
-	var rows []BatchRow
-	for _, p := range pairs {
-		rows = append(rows, newBatchRow(p.Graph, p.Algo, p.Identical, p.A, p.B))
-	}
 	for _, row := range rows {
 		rep.Rows = append(rep.Rows, fmt.Sprintf("%-8s %-5s %10v %12d %12d %9.2fx %10.1f %8.2fx",
 			row.Graph, row.Algo, row.Identical, row.ShardVisitsOff, row.ShardVisitsOn,
 			row.VisitReduction, row.KeysPerBatch, row.SimSpeedup))
 	}
-	return rows, rep, nil
+	return rep
 }
 
 // Smoke is the pinned-seed benchmark snapshot emitted as BENCH_smoke.json by
-// `make bench-smoke`, tracking the batching and load-rebalancing wins across
-// the repository's history.
+// `make bench-smoke`, tracking the repository's gated wins across its
+// history.  Each slice field below is one section with exactly one entry in
+// the smokeSections gate table, which both computes and gates it.
 type Smoke struct {
 	Seed     int64      `json:"seed"`
 	Datasets []string   `json:"datasets"`
@@ -139,73 +145,35 @@ type Smoke struct {
 	Serving []ServingRow `json:"serving,omitempty"`
 }
 
-// BatchSmoke runs the batched-vs-unbatched comparison for the snapshot and
-// attaches the deterministic rebalance rows.  Caller-set options are
-// honored; only an unset dataset list is pinned to the small OK+TW subset
-// (the `make bench-smoke` configuration; the rebalance rows always use the
-// hub-heavy CW+HL pair, where the rebalancing win lives).
+// BatchSmoke computes every section of the snapshot, one smokeSections
+// entry at a time, and returns the batched-vs-unbatched report.  Caller-set
+// options are honored; only an unset dataset list is pinned to the small
+// OK+TW subset (the `make bench-smoke` configuration).  The batch rows run on
+// that list; every other section pins its own datasets (the hub-heavy CW+HL
+// pair for rebalance, pipeline, adaptive and serving, OK for the rest).
 func BatchSmoke(opts Options) (Smoke, Report, error) {
-	if len(opts.Datasets) == 0 {
-		opts.Datasets = []string{"OK", "TW"}
+	opts = opts.smokeDefaults()
+	s := Smoke{
+		Seed:     opts.Seed,
+		Datasets: opts.Datasets,
+		Scale:    opts.Scale,
+		Machines: opts.Machines,
+		Threads:  opts.Threads,
 	}
-	opts = opts.withDefaults()
-	rows, rep, err := BatchComparison(opts)
-	if err != nil {
-		return Smoke{}, rep, err
+	for _, sec := range smokeSections {
+		if err := sec.fill(opts, &s); err != nil {
+			return Smoke{}, batchReport(nil), err
+		}
 	}
-	rebalanceOpts := opts
-	rebalanceOpts.Datasets = nil // RebalanceSmoke pins CW+HL
-	backendOpts := opts
-	backendOpts.Datasets = nil // BackendSmoke pins OK
-	backendRows, err := BackendSmoke(backendOpts)
-	if err != nil {
-		return Smoke{}, rep, err
+	return s, batchReport(s.Rows), nil
+}
+
+// smokeDefaults resolves the options BatchSmoke runs with.
+func (o Options) smokeDefaults() Options {
+	if len(o.Datasets) == 0 {
+		o.Datasets = []string{"OK", "TW"}
 	}
-	pipelineOpts := opts
-	pipelineOpts.Datasets = nil // PipelineSmoke pins CW+HL
-	pipelineRows, err := PipelineSmoke(pipelineOpts)
-	if err != nil {
-		return Smoke{}, rep, err
-	}
-	localityOpts := opts
-	localityOpts.Datasets = nil // LocalitySmoke pins OK
-	localityRows, err := LocalitySmoke(localityOpts)
-	if err != nil {
-		return Smoke{}, rep, err
-	}
-	adaptiveOpts := opts
-	adaptiveOpts.Datasets = nil // AdaptiveSmoke pins CW+HL
-	adaptiveRows, err := AdaptiveSmoke(adaptiveOpts)
-	if err != nil {
-		return Smoke{}, rep, err
-	}
-	chaosOpts := opts
-	chaosOpts.Datasets = nil // ChaosSmoke pins OK
-	chaosRows, err := ChaosSmoke(chaosOpts)
-	if err != nil {
-		return Smoke{}, rep, err
-	}
-	servingOpts := opts
-	servingOpts.Datasets = nil // ServingSmoke pins CW+HL
-	servingRows, err := ServingSmoke(servingOpts)
-	if err != nil {
-		return Smoke{}, rep, err
-	}
-	return Smoke{
-		Seed:      opts.Seed,
-		Datasets:  opts.Datasets,
-		Scale:     opts.Scale,
-		Machines:  opts.Machines,
-		Threads:   opts.Threads,
-		Rows:      rows,
-		Rebalance: RebalanceSmoke(rebalanceOpts),
-		Backend:   backendRows,
-		Pipeline:  pipelineRows,
-		Locality:  localityRows,
-		Adaptive:  adaptiveRows,
-		Chaos:     chaosRows,
-		Serving:   servingRows,
-	}, rep, nil
+	return o.withDefaults()
 }
 
 // WriteSmokeJSON writes a Smoke snapshot to path as indented JSON.

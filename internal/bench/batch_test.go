@@ -2,8 +2,10 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -15,7 +17,7 @@ func TestBatchComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("batch comparison runs every algorithm twice")
 	}
-	rows, _, err := BatchComparison(Options{Datasets: []string{"OK"}, Seed: 1})
+	rows, _, err := BatchComparison(Options{Datasets: []string{"OK", "TW"}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,24 +38,25 @@ func TestBatchComparison(t *testing.T) {
 }
 
 // TestBatchSmokeJSONRoundTrip exercises the BENCH_smoke.json emission used
-// by `make bench-smoke`.
+// by `make bench-smoke` on a synthetic snapshot with every field of every
+// section set, and the options BatchSmoke resolves before running.
 func TestBatchSmokeJSONRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke runs every algorithm twice on two datasets")
+	if got := (Options{}).smokeDefaults(); !reflect.DeepEqual(got.Datasets, []string{"OK", "TW"}) {
+		t.Fatalf("unset datasets should pin to OK+TW, got %v", got.Datasets)
 	}
-	smoke, _, err := BatchSmoke(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(smoke.Datasets) != 2 {
-		t.Fatalf("unset datasets should pin to OK+TW, got %v", smoke.Datasets)
-	}
-	custom, _, err := BatchSmoke(Options{Datasets: []string{"OK"}, Machines: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	custom := Options{Datasets: []string{"OK"}, Machines: 4}.smokeDefaults()
 	if len(custom.Datasets) != 1 || custom.Machines != 4 {
 		t.Fatalf("caller options not honored: %+v", custom)
+	}
+
+	var smoke Smoke
+	next := 0
+	fillNonZero(reflect.ValueOf(&smoke).Elem(), &next)
+	v := reflect.ValueOf(smoke)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice && f.Len() == 0 {
+			t.Fatalf("synthetic snapshot leaves %s empty", v.Type().Field(i).Name)
+		}
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_smoke.json")
 	if err := WriteSmokeJSON(path, smoke); err != nil {
@@ -67,15 +70,32 @@ func TestBatchSmokeJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Seed != smoke.Seed || len(back.Rows) != len(smoke.Rows) {
-		t.Fatalf("round trip lost data: %+v vs %+v", back, smoke)
+	if !reflect.DeepEqual(back, smoke) {
+		t.Fatalf("round trip lost data:\n got %+v\nwant %+v", back, smoke)
 	}
-	for _, row := range back.Rows {
-		if !row.Identical {
-			t.Errorf("%s/%s: batched and unbatched results differ", row.Graph, row.Algo)
+}
+
+// fillNonZero sets every leaf of v to a distinct non-zero value, giving each
+// slice one element.
+func fillNonZero(v reflect.Value, next *int) {
+	*next++
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillNonZero(v.Field(i), next)
 		}
-		if row.Algo == "MIS" && row.VisitReduction < 2 {
-			t.Errorf("%s/MIS: shard-visit reduction %.2fx, want >= 2x", row.Graph, row.VisitReduction)
-		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		fillNonZero(v.Index(0), next)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", *next))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(*next))
+	case reflect.Float64:
+		v.SetFloat(float64(*next) + 0.25)
+	default:
+		panic("fillNonZero: unhandled kind " + v.Kind().String())
 	}
 }

@@ -1,425 +1,293 @@
 package bench
 
-import "fmt"
+import (
+	"fmt"
+	"reflect"
+)
 
 // Smoke-snapshot regression checking.
 //
-// cmd/benchcheck guards the batching win recorded in BENCH_smoke.json: it
-// re-runs the pinned-seed smoke benchmark and fails when a metric regresses
-// beyond the tolerance.  The comparison logic lives here so it can be tested
-// against its edge cases directly — zero baselines, rows missing from the
-// fresh run, and regressions landing exactly on the threshold — instead of
-// only through the command's exit code.
+// cmd/benchcheck re-runs the pinned-seed smoke benchmark and checks every
+// gated section of BENCH_smoke.json against the committed snapshot: the
+// batching, rebalance, backend, pipeline, locality, adaptive-ownership,
+// chaos and serving rows.  smokeSections below is the single source of
+// truth for what each section measures and how it is gated; BatchSmoke
+// fills the snapshot from the same table, so a new section is one Smoke
+// field plus one entry.  The comparison logic lives here so it can be
+// tested against its edge cases directly — zero baselines, rows missing
+// from the fresh run, and regressions landing exactly on the threshold —
+// instead of only through the command's exit code.
 
-// MergeBestRows folds one measurement run into best, keeping each row's best
-// value per metric across runs.  The metrics depend slightly on goroutine
-// scheduling (racy cache fills change which lookups reach the store), so the
-// gate keeps the best of several runs: noise cannot fail it, while a real
-// regression persists across every run.  Identical must hold in every run.
-func MergeBestRows(best map[string]BatchRow, rows []BatchRow) {
-	for _, row := range rows {
-		key := row.Graph + "/" + row.Algo
-		cur, seen := best[key]
-		if !seen {
-			best[key] = row
-			continue
-		}
-		if row.VisitReduction > cur.VisitReduction {
-			cur.VisitReduction = row.VisitReduction
-		}
-		if row.SimSpeedup > cur.SimSpeedup {
-			cur.SimSpeedup = row.SimSpeedup
-		}
-		cur.Identical = cur.Identical && row.Identical
-		best[key] = cur
-	}
+// smokeSection is one entry of the gate table: the Smoke slice field it
+// owns, how BatchSmoke computes its rows, and how one row is gated.
+type smokeSection struct {
+	field string
+	fill  func(opts Options, s *Smoke) error
+	rows  func(s Smoke) []gateRow
 }
 
-// MergeBestPipelineRows folds one run's pipeline rows into best, keeping
-// per graph the run with the best ranged idle-reduction mean and the best
-// ranged-over-whole advantage.  Identical must hold in every run.
-func MergeBestPipelineRows(best map[string]PipelineRow, rows []PipelineRow) {
-	for _, row := range rows {
-		cur, seen := best[row.Graph]
-		if !seen {
-			best[row.Graph] = row
-			continue
-		}
-		if row.RangedIdleReductionMeanPct > cur.RangedIdleReductionMeanPct {
-			cur.RangedIdleReductionMeanPct = row.RangedIdleReductionMeanPct
-			cur.RangedIdleReductionStdPct = row.RangedIdleReductionStdPct
-		}
-		if row.RangedAdvantagePct > cur.RangedAdvantagePct {
-			cur.RangedAdvantagePct = row.RangedAdvantagePct
-		}
-		cur.Identical = cur.Identical && row.Identical
-		best[row.Graph] = cur
-	}
-}
-
-// MergeBestLocalityRows folds one run's locality rows into best, keeping
-// per (graph, algo) the best remote-read reduction.  Identical must hold in
-// every run.
-func MergeBestLocalityRows(best map[string]LocalitySmokeRow, rows []LocalitySmokeRow) {
-	for _, row := range rows {
-		key := row.Graph + "/" + row.Algo
-		cur, seen := best[key]
-		if !seen {
-			best[key] = row
-			continue
-		}
-		if row.RemoteReduction > cur.RemoteReduction {
-			cur.RemoteReduction = row.RemoteReduction
-		}
-		cur.Identical = cur.Identical && row.Identical
-		best[key] = cur
-	}
-}
-
-// MergeBestAdaptiveRows folds one run's adaptive-ownership rows into best,
-// keeping per graph the run with the best improvement mean.  Identical must
-// hold in every run.
-func MergeBestAdaptiveRows(best map[string]AdaptiveRow, rows []AdaptiveRow) {
-	for _, row := range rows {
-		cur, seen := best[row.Graph]
-		if !seen {
-			best[row.Graph] = row
-			continue
-		}
-		if row.ImprovementMeanPct > cur.ImprovementMeanPct {
-			cur.ImprovementMeanPct = row.ImprovementMeanPct
-			cur.ImprovementStdPct = row.ImprovementStdPct
-			cur.AdaptiveMaxMeanMean = row.AdaptiveMaxMeanMean
-			cur.AdaptiveMaxMeanStd = row.AdaptiveMaxMeanStd
-		}
-		cur.Identical = cur.Identical && row.Identical
-		best[row.Graph] = cur
-	}
-}
-
-// MergeBestChaosRows folds one run's chaos rows into best, keeping per graph
-// the run with the lowest recovery-overhead mean (the chaos gate is a
-// ceiling: smaller is better) and the largest recovery-tier counters.
-// Identical must hold — and FailedRuns must stay zero — in every run.
-func MergeBestChaosRows(best map[string]ChaosSmokeRow, rows []ChaosSmokeRow) {
-	for _, row := range rows {
-		cur, seen := best[row.Graph]
-		if !seen {
-			best[row.Graph] = row
-			continue
-		}
-		if row.OverheadMeanPct < cur.OverheadMeanPct {
-			cur.OverheadMeanPct = row.OverheadMeanPct
-			cur.OverheadStdPct = row.OverheadStdPct
-		}
-		if row.Retries > cur.Retries {
-			cur.Retries = row.Retries
-		}
-		if row.Failovers > cur.Failovers {
-			cur.Failovers = row.Failovers
-		}
-		if row.SubroundRetries > cur.SubroundRetries {
-			cur.SubroundRetries = row.SubroundRetries
-		}
-		cur.Identical = cur.Identical && row.Identical
-		cur.FailedRuns += row.FailedRuns
-		best[row.Graph] = cur
-	}
-}
-
-// MergeBestServingRows folds one run's serving rows into best, keeping per
-// graph the run with the best steady-state throughput mean.  Identical must
-// hold — and the plan cache must score hits — in every run, so those fold
-// with AND and min respectively.
-func MergeBestServingRows(best map[string]ServingRow, rows []ServingRow) {
-	for _, row := range rows {
-		cur, seen := best[row.Graph]
-		if !seen {
-			best[row.Graph] = row
-			continue
-		}
-		if row.ThroughputMeanX > cur.ThroughputMeanX {
-			cur.ThroughputMeanX = row.ThroughputMeanX
-			cur.ThroughputStdX = row.ThroughputStdX
-			cur.ThroughputX = row.ThroughputX
-			cur.SerializedSim = row.SerializedSim
-			cur.ConcurrentSim = row.ConcurrentSim
-			cur.PrepSim = row.PrepSim
-		}
-		if row.PlanCacheHits < cur.PlanCacheHits {
-			cur.PlanCacheHits = row.PlanCacheHits
-		}
-		cur.Identical = cur.Identical && row.Identical
-		best[row.Graph] = cur
-	}
-}
-
-// CheckSmoke compares the freshly measured rows against the committed
-// baseline with the given fractional tolerance (0.10 = a metric may fall to
-// 90% of its committed value).  It returns one human-readable line per
-// comparison and the number of failures: rows missing from the fresh run,
-// rows whose batched and unbatched results diverged, and metrics that fell
-// strictly below (1 - tolerance) x baseline.  A metric whose baseline is
-// zero or negative cannot fail (there is nothing to regress from), and a
-// metric landing exactly on the threshold passes.
-//
-// freshRebalance carries the deterministic load-rebalancing rows (keyed by
-// graph); a baseline rebalance row fails when it is missing from the fresh
-// computation, when its load_imbalance_reduction regressed below the floor,
-// or when the fresh weighted split left a machine with zero keys (the
-// empty-tail bug the balanced split fixed).  A nil map skips the rebalance
-// section only if the baseline records no rebalance rows.
-//
-// freshBackend carries the storage-backend rows (keyed by graph/backend); a
-// baseline backend row fails when it is missing from the fresh run, when the
-// backend's output stopped being byte-identical to the in-memory reference,
-// or when the disk backend's spill_ratio regressed below the floor.
-//
-// freshPipeline carries the range-declared pipelining rows (keyed by
-// graph); a baseline pipeline row fails when it is missing from the fresh
-// run, when any fused run's outputs stopped being byte-identical to the
-// standalone barrier runs, when the ranged declarations lost their
-// advantage over the whole-store ones (RangedAdvantagePct <= 0), or when
-// the fresh ranged idle-reduction mean fell below the committed
-// variance-derived floor (baseline mean - 3 x std) — an absolute floor, not
-// the fractional tolerance, because the metric's run-to-run noise is
-// already measured into it.
-//
-// freshLocality carries the remote-read reduction rows (keyed by
-// graph/algo); a baseline locality row fails when it is missing from the
-// fresh run, when the two placements' outputs diverged, or when the
-// remote_reduction regressed below the fractional floor.
-//
-// freshAdaptive carries the online ownership rebalancing rows (keyed by
-// graph); a baseline adaptive row fails when it is missing from the fresh
-// run, when an adaptive run's outputs stopped being byte-identical to the
-// static run, or when the fresh improvement mean fell below the committed
-// variance-derived floor (baseline mean - 3 x std), mirroring the pipeline
-// section.
-//
-// freshChaos carries the fault-injection rows (keyed by graph); a baseline
-// chaos row fails when it is missing from the fresh run, when a chaotic
-// run's outputs stopped being byte-identical to the clean run, when any
-// algorithm run failed outright (the fault budget must absorb every injected
-// failure), when a recovery tier went unexercised (zero retries, failovers
-// or sub-round re-executions means the schedule no longer reaches that
-// tier), or when the fresh recovery-overhead mean rose above the committed
-// variance-derived ceiling (baseline mean + 3 x std) — a ceiling, not a
-// floor, because for overhead smaller is better.
-//
-// freshServing carries the serving-layer rows (keyed by graph); a baseline
-// serving row fails when it is missing from the fresh run, when a concurrent
-// job's output stopped being byte-identical to the one-shot references, when
-// the session's plan cache stopped scoring hits, or when the fresh
-// throughput mean fell below the committed variance-derived floor (baseline
-// mean - 3 x std), mirroring the pipeline section.
-func CheckSmoke(baseline Smoke, fresh map[string]BatchRow, freshRebalance map[string]RebalanceSmokeRow, freshBackend map[string]BackendSmokeRow, freshPipeline map[string]PipelineRow, freshLocality map[string]LocalitySmokeRow, freshAdaptive map[string]AdaptiveRow, freshChaos map[string]ChaosSmokeRow, freshServing map[string]ServingRow, tolerance float64) (lines []string, failures int) {
-	floor := 1 - tolerance
-	lines = append(lines, fmt.Sprintf("%-10s %-22s %10s %10s %8s", "row", "metric", "baseline", "fresh", "ratio"))
-	for _, want := range baseline.Rows {
-		key := want.Graph + "/" + want.Algo
-		got, ok := fresh[key]
-		if !ok {
-			failures++
-			lines = append(lines, fmt.Sprintf("%-10s missing from fresh run", key))
-			continue
-		}
-		if !got.Identical {
-			failures++
-			lines = append(lines, fmt.Sprintf("%-10s batched and unbatched results differ", key))
-		}
-		for _, m := range []struct {
-			name           string
-			baseline, next float64
-		}{
-			{"visit_reduction", want.VisitReduction, got.VisitReduction},
-			{"sim_speedup", want.SimSpeedup, got.SimSpeedup},
-		} {
-			line, failed := checkSmokeMetric(key, m.name, m.baseline, m.next, floor)
-			lines = append(lines, line)
-			if failed {
-				failures++
+// section builds the table entry for the Smoke field named field, whose
+// rows have type R.
+func section[R any](field string, run func(Options) ([]R, error), gate func(R) gateRow) smokeSection {
+	return smokeSection{
+		field: field,
+		fill: func(opts Options, s *Smoke) error {
+			rows, err := run(opts)
+			if err != nil {
+				return err
 			}
-		}
-	}
-	for _, want := range baseline.Rebalance {
-		key := want.Graph + "/rebalance"
-		got, ok := freshRebalance[want.Graph]
-		if !ok {
-			failures++
-			lines = append(lines, fmt.Sprintf("%-10s missing from fresh run", key))
-			continue
-		}
-		if zeros := got.RangeLoad.ZeroKeyMachines + got.WeightedLoad.ZeroKeyMachines; zeros > 0 {
-			failures++
-			lines = append(lines, fmt.Sprintf("%-10s %d machine(s) own zero keys", key, zeros))
-		}
-		line, failed := checkSmokeMetric(key, "load_imbalance_reduction",
-			want.LoadImbalanceReduction, got.LoadImbalanceReduction, floor)
-		lines = append(lines, line)
-		if failed {
-			failures++
-		}
-	}
-	for _, want := range baseline.Backend {
-		key := want.Graph + "/" + want.Backend
-		got, ok := freshBackend[key]
-		if !ok {
-			failures++
-			lines = append(lines, fmt.Sprintf("%-10s missing from fresh run", key))
-			continue
-		}
-		if !got.Identical {
-			failures++
-			lines = append(lines, fmt.Sprintf("%-10s results differ from the in-memory reference", key))
-		}
-		line, failed := checkSmokeMetric(key, "spill_ratio", want.SpillRatio, got.SpillRatio, floor)
-		lines = append(lines, line)
-		if failed {
-			failures++
-		}
-	}
-	for _, want := range baseline.Pipeline {
-		key := want.Graph + "/pipeline"
-		got, ok := freshPipeline[want.Graph]
-		if !ok {
-			failures++
-			lines = append(lines, fmt.Sprintf("%-10s missing from fresh run", key))
-			continue
-		}
-		if !got.Identical {
-			failures++
-			lines = append(lines, fmt.Sprintf("%-10s fused pipelined outputs differ from the standalone runs", key))
-		}
-		if got.RangedAdvantagePct <= 0 {
-			failures++
-			lines = append(lines, fmt.Sprintf("%-10s ranged declarations lost their advantage over whole-store (%.2f%%)", key, got.RangedAdvantagePct))
-		}
-		status := ""
-		failed := got.RangedIdleReductionMeanPct < want.GateFloorPct
-		if failed {
-			failures++
-			status = "  REGRESSED"
-		}
-		lines = append(lines, fmt.Sprintf("%-10s %-22s %10.3f %10.3f %8s%s",
-			key, "ranged_idle_mean_pct", want.GateFloorPct, got.RangedIdleReductionMeanPct, "(floor)", status))
-	}
-	for _, want := range baseline.Locality {
-		key := want.Graph + "/" + want.Algo + "/loc"
-		got, ok := freshLocality[want.Graph+"/"+want.Algo]
-		if !ok {
-			failures++
-			lines = append(lines, fmt.Sprintf("%-10s missing from fresh run", key))
-			continue
-		}
-		if !got.Identical {
-			failures++
-			lines = append(lines, fmt.Sprintf("%-10s hash and owner-affine results differ", key))
-		}
-		line, failed := checkSmokeMetric(key, "remote_reduction", want.RemoteReduction, got.RemoteReduction, floor)
-		lines = append(lines, line)
-		if failed {
-			failures++
-		}
-	}
-	for _, want := range baseline.Adaptive {
-		key := want.Graph + "/adaptive"
-		got, ok := freshAdaptive[want.Graph]
-		if !ok {
-			failures++
-			lines = append(lines, fmt.Sprintf("%-10s missing from fresh run", key))
-			continue
-		}
-		if !got.Identical {
-			failures++
-			lines = append(lines, fmt.Sprintf("%-10s adaptive outputs differ from the static run", key))
-		}
-		status := ""
-		failed := got.ImprovementMeanPct < want.GateFloorPct
-		if failed {
-			failures++
-			status = "  REGRESSED"
-		}
-		lines = append(lines, fmt.Sprintf("%-10s %-22s %10.3f %10.3f %8s%s",
-			key, "improvement_mean_pct", want.GateFloorPct, got.ImprovementMeanPct, "(floor)", status))
-	}
-	for _, want := range baseline.Chaos {
-		key := want.Graph + "/chaos"
-		got, ok := freshChaos[want.Graph]
-		if !ok {
-			failures++
-			lines = append(lines, fmt.Sprintf("%-10s missing from fresh run", key))
-			continue
-		}
-		if !got.Identical {
-			failures++
-			lines = append(lines, fmt.Sprintf("%-10s chaotic outputs differ from the fault-free run", key))
-		}
-		if got.FailedRuns > 0 {
-			failures++
-			lines = append(lines, fmt.Sprintf("%-10s %d algorithm run(s) failed under chaos (the fault budget must absorb every injected failure)", key, got.FailedRuns))
-		}
-		for _, c := range []struct {
-			name string
-			min  int64
-		}{
-			{"retries", got.Retries},
-			{"failovers", got.Failovers},
-			{"subround_retries", int64(got.SubroundRetries)},
-		} {
-			if c.min <= 0 {
-				failures++
-				lines = append(lines, fmt.Sprintf("%-10s %s = 0: the fault schedule no longer exercises this recovery tier", key, c.name))
+			reflect.ValueOf(s).Elem().FieldByName(field).Set(reflect.ValueOf(rows))
+			return nil
+		},
+		rows: func(s Smoke) []gateRow {
+			rows := reflect.ValueOf(s).FieldByName(field).Interface().([]R)
+			out := make([]gateRow, len(rows))
+			for i, row := range rows {
+				out[i] = gate(row)
 			}
-		}
-		status := ""
-		failed := got.OverheadMeanPct > want.GateCeilingPct
-		if failed {
-			failures++
-			status = "  REGRESSED"
-		}
-		lines = append(lines, fmt.Sprintf("%-10s %-22s %10.3f %10.3f %8s%s",
-			key, "overhead_mean_pct", want.GateCeilingPct, got.OverheadMeanPct, "(ceil)", status))
+			return out
+		},
 	}
-	for _, want := range baseline.Serving {
-		key := want.Graph + "/serving"
-		got, ok := freshServing[want.Graph]
-		if !ok {
-			failures++
-			lines = append(lines, fmt.Sprintf("%-10s missing from fresh run", key))
-			continue
-		}
-		if !got.Identical {
-			failures++
-			lines = append(lines, fmt.Sprintf("%-10s concurrent job outputs differ from the one-shot runs", key))
-		}
-		if got.PlanCacheHits <= 0 {
-			failures++
-			lines = append(lines, fmt.Sprintf("%-10s plan cache scored no hits (repeated queries must reuse compiled plans)", key))
-		}
-		status := ""
-		failed := got.ThroughputMeanX < want.GateFloorX
-		if failed {
-			failures++
-			status = "  REGRESSED"
-		}
-		lines = append(lines, fmt.Sprintf("%-10s %-22s %10.3f %10.3f %8s%s",
-			key, "throughput_mean_x", want.GateFloorX, got.ThroughputMeanX, "(floor)", status))
-	}
-	return lines, failures
 }
 
-// checkSmokeMetric formats one comparison line and reports whether fresh
-// fell strictly below floor x baseline.
-func checkSmokeMetric(key, name string, baseline, fresh, floor float64) (string, bool) {
-	ratio := 0.0
-	if baseline > 0 {
-		ratio = fresh / baseline
+// pinned runs a section that picks its own datasets, whatever the snapshot's
+// dataset list is.
+func pinned[R any](run func(Options) ([]R, error)) func(Options) ([]R, error) {
+	return func(opts Options) ([]R, error) {
+		opts.Datasets = nil
+		return run(opts)
 	}
-	failed := baseline > 0 && ratio < floor
+}
+
+// gateRow is one smoke row as the gate sees it.  The label both matches a
+// row across runs and prefixes its output lines.  The invariant and metric
+// lists of every row of a section line up index for index.
+type gateRow struct {
+	label   string
+	always  []invariant // must hold in every run
+	once    []invariant // must hold in at least one run
+	metrics []gatedMetric
+}
+
+// invariant is a pass/fail property of one run's row; msg says what broke.
+type invariant struct {
+	holds bool
+	msg   string
+}
+
+type gateKind int
+
+const (
+	// gateFractional fails when fresh < (1 - tolerance) x baseline; a
+	// baseline <= 0 never fails.  The best run is the largest value.
+	gateFractional gateKind = iota
+	// gateFloor fails when fresh falls below the committed floor.  The best
+	// run is the largest value.
+	gateFloor
+	// gateCeiling fails when fresh rises above the committed ceiling.  The
+	// best run is the smallest value.
+	gateCeiling
+)
+
+// gatedMetric is one gated quantity of a row.  bound is read from the
+// baseline row (the committed value, floor or ceiling); value from a fresh
+// row.
+type gatedMetric struct {
+	name  string
+	kind  gateKind
+	bound float64
+	value float64
+}
+
+func fractionalMetric(name string, v float64) gatedMetric {
+	return gatedMetric{name: name, kind: gateFractional, bound: v, value: v}
+}
+
+// better reports whether a beats b as a best-of-runs value.
+func (k gateKind) better(a, b float64) bool {
+	if k == gateCeiling {
+		return a < b
+	}
+	return a > b
+}
+
+// check formats the comparison of the best fresh value against the baseline
+// bound and reports whether it failed.
+func (m gatedMetric) check(label string, fresh, tolerance float64) (string, bool) {
+	var failed bool
+	var ratio string
+	switch m.kind {
+	case gateFractional:
+		r := 0.0
+		if m.bound > 0 {
+			r = fresh / m.bound
+		}
+		failed = m.bound > 0 && r < 1-tolerance
+		ratio = fmt.Sprintf("%7.2fx", r)
+	case gateFloor:
+		failed = fresh < m.bound
+		ratio = fmt.Sprintf("%8s", "(floor)")
+	case gateCeiling:
+		failed = fresh > m.bound
+		ratio = fmt.Sprintf("%8s", "(ceil)")
+	}
 	status := ""
 	if failed {
 		status = "  REGRESSED"
 	}
-	return fmt.Sprintf("%-10s %-22s %10.3f %10.3f %7.2fx%s", key, name, baseline, fresh, ratio, status), failed
+	return fmt.Sprintf("%-10s %-22s %10.3f %10.3f %s%s", label, m.name, m.bound, fresh, ratio, status), failed
+}
+
+// smokeSections is the gate table: one entry per Smoke section, in output
+// order.
+var smokeSections = []smokeSection{
+	section("Rows", func(opts Options) ([]BatchRow, error) {
+		rows, _, err := BatchComparison(opts)
+		return rows, err
+	}, func(r BatchRow) gateRow {
+		return gateRow{
+			label:   r.Graph + "/" + r.Algo,
+			always:  []invariant{{r.Identical, "batched and unbatched results differ"}},
+			metrics: []gatedMetric{fractionalMetric("visit_reduction", r.VisitReduction), fractionalMetric("sim_speedup", r.SimSpeedup)},
+		}
+	}),
+	// The load-imbalance reduction is a pure function of the pinned
+	// graphs; a machine owning zero keys is the empty-tail bug the
+	// balanced split fixed.
+	section("Rebalance", pinned(func(opts Options) ([]RebalanceSmokeRow, error) {
+		return RebalanceSmoke(opts), nil
+	}), func(r RebalanceSmokeRow) gateRow {
+		zeros := r.RangeLoad.ZeroKeyMachines + r.WeightedLoad.ZeroKeyMachines
+		return gateRow{
+			label:   r.Graph + "/rebalance",
+			always:  []invariant{{zeros == 0, fmt.Sprintf("%d machine(s) own zero keys", zeros)}},
+			metrics: []gatedMetric{fractionalMetric("load_imbalance_reduction", r.LoadImbalanceReduction)},
+		}
+	}),
+	section("Backend", pinned(BackendSmoke), func(r BackendSmokeRow) gateRow {
+		return gateRow{
+			label:   r.Graph + "/" + r.Backend,
+			always:  []invariant{{r.Identical, "results differ from the in-memory reference"}},
+			metrics: []gatedMetric{fractionalMetric("spill_ratio", r.SpillRatio)},
+		}
+	}),
+	// The floor is the committed variance-derived mean - 3 x std: an
+	// absolute bound, because the run-to-run noise is already measured
+	// into it.
+	section("Pipeline", pinned(PipelineSmoke), func(r PipelineRow) gateRow {
+		return gateRow{
+			label:   r.Graph + "/pipeline",
+			always:  []invariant{{r.Identical, "fused pipelined outputs differ from the standalone runs"}},
+			once:    []invariant{{r.RangedAdvantagePct > 0, fmt.Sprintf("ranged declarations lost their advantage over whole-store (%.2f%%)", r.RangedAdvantagePct)}},
+			metrics: []gatedMetric{{"ranged_idle_mean_pct", gateFloor, r.GateFloorPct, r.RangedIdleReductionMeanPct}},
+		}
+	}),
+	section("Locality", pinned(LocalitySmoke), func(r LocalitySmokeRow) gateRow {
+		return gateRow{
+			label:   r.Graph + "/" + r.Algo + "/loc",
+			always:  []invariant{{r.Identical, "hash and owner-affine results differ"}},
+			metrics: []gatedMetric{fractionalMetric("remote_reduction", r.RemoteReduction)},
+		}
+	}),
+	section("Adaptive", pinned(AdaptiveSmoke), func(r AdaptiveRow) gateRow {
+		return gateRow{
+			label:   r.Graph + "/adaptive",
+			always:  []invariant{{r.Identical, "adaptive outputs differ from the static run"}},
+			metrics: []gatedMetric{{"improvement_mean_pct", gateFloor, r.GateFloorPct, r.ImprovementMeanPct}},
+		}
+	}),
+	// The fault budget must absorb every injected failure, and each
+	// recovery tier must fire in some run; the overhead gate is a ceiling
+	// because smaller is better.
+	section("Chaos", pinned(ChaosSmoke), func(r ChaosSmokeRow) gateRow {
+		tier := func(name string, n int64) invariant {
+			return invariant{n > 0, name + " = 0: the fault schedule no longer exercises this recovery tier"}
+		}
+		return gateRow{
+			label: r.Graph + "/chaos",
+			always: []invariant{
+				{r.Identical, "chaotic outputs differ from the fault-free run"},
+				{r.FailedRuns == 0, fmt.Sprintf("%d algorithm run(s) failed under chaos (the fault budget must absorb every injected failure)", r.FailedRuns)},
+			},
+			once:    []invariant{tier("retries", r.Retries), tier("failovers", r.Failovers), tier("subround_retries", int64(r.SubroundRetries))},
+			metrics: []gatedMetric{{"overhead_mean_pct", gateCeiling, r.GateCeilingPct, r.OverheadMeanPct}},
+		}
+	}),
+	section("Serving", pinned(ServingSmoke), func(r ServingRow) gateRow {
+		return gateRow{
+			label: r.Graph + "/serving",
+			always: []invariant{
+				{r.Identical, "concurrent job outputs differ from the one-shot runs"},
+				{r.PlanCacheHits > 0, "plan cache scored no hits (repeated queries must reuse compiled plans)"},
+			},
+			metrics: []gatedMetric{{"throughput_mean_x", gateFloor, r.GateFloorX, r.ThroughputMeanX}},
+		}
+	}),
+}
+
+// CheckSmoke compares one or more fresh measurement runs against the
+// committed baseline with the given fractional tolerance (0.10 = a
+// fractional metric may fall to 90% of its committed value).  It returns one
+// human-readable line per comparison and the number of failures.
+//
+// The metrics depend slightly on goroutine scheduling, so each gated metric
+// keeps its best value across runs: noise cannot fail the gate, while a real
+// regression persists across every run.  A baseline row fails when it is
+// missing from every run, when one of its every-run invariants (identical
+// outputs, among others) breaks in any run, when one of its at-least-once
+// invariants holds in no run, or when the best value of a metric crosses its
+// bound.  A fractional metric whose baseline is zero or negative cannot fail,
+// and a value landing exactly on a bound passes.
+func CheckSmoke(baseline Smoke, runs []Smoke, tolerance float64) (lines []string, failures int) {
+	fail := func(line string) {
+		failures++
+		lines = append(lines, line)
+	}
+	lines = append(lines, fmt.Sprintf("%-10s %-22s %10s %10s %8s", "row", "metric", "baseline", "fresh", "ratio"))
+	for _, sec := range smokeSections {
+		fresh := make(map[string][]gateRow)
+		for _, run := range runs {
+			for _, row := range sec.rows(run) {
+				fresh[row.label] = append(fresh[row.label], row)
+			}
+		}
+		for _, want := range sec.rows(baseline) {
+			got := fresh[want.label]
+			if len(got) == 0 {
+				fail(fmt.Sprintf("%-10s missing from fresh run", want.label))
+				continue
+			}
+			for i := range want.always {
+				for _, row := range got {
+					if !row.always[i].holds {
+						fail(fmt.Sprintf("%-10s %s", want.label, row.always[i].msg))
+						break
+					}
+				}
+			}
+			for i := range want.once {
+				held := false
+				for _, row := range got {
+					held = held || row.once[i].holds
+				}
+				if !held {
+					fail(fmt.Sprintf("%-10s %s", want.label, got[0].once[i].msg))
+				}
+			}
+			for i, m := range want.metrics {
+				best := got[0].metrics[i].value
+				for _, row := range got[1:] {
+					if v := row.metrics[i].value; m.kind.better(v, best) {
+						best = v
+					}
+				}
+				line, failed := m.check(want.label, best, tolerance)
+				lines = append(lines, line)
+				if failed {
+					failures++
+				}
+			}
+		}
+	}
+	return lines, failures
 }

@@ -1,6 +1,10 @@
 package bench
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -9,18 +13,29 @@ func smokeWith(rows ...BatchRow) Smoke {
 	return Smoke{Seed: 1, Datasets: []string{"OK"}, Scale: 1, Machines: 8, Threads: 4, Rows: rows}
 }
 
-func freshMap(rows ...BatchRow) map[string]BatchRow {
-	m := make(map[string]BatchRow)
-	MergeBestRows(m, rows)
-	return m
+// check runs CheckSmoke over the given fresh runs at 10% tolerance.
+func check(base Smoke, runs ...Smoke) ([]string, int) {
+	return CheckSmoke(base, runs, 0.10)
+}
+
+// with returns s with the section whose rows have type R set to rows.
+func with[R any](s Smoke, rows ...R) Smoke {
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Type() == reflect.TypeOf(rows) {
+			v.Field(i).Set(reflect.ValueOf(rows))
+			return s
+		}
+	}
+	panic("Smoke has no section of type " + reflect.TypeOf(rows).String())
 }
 
 func TestCheckSmokeZeroBaselineNeverFails(t *testing.T) {
 	// A zero (or negative) baseline metric has nothing to regress from:
 	// whatever the fresh run measures, the gate must not fail on it.
 	base := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 0, SimSpeedup: 0})
-	fresh := freshMap(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 0, SimSpeedup: 0})
-	lines, failures := CheckSmoke(base, fresh, nil, nil, nil, nil, nil, nil, nil, 0.10)
+	fresh := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 0, SimSpeedup: 0})
+	lines, failures := check(base, fresh)
 	if failures != 0 {
 		t.Fatalf("zero-baseline metrics failed the gate: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
@@ -31,8 +46,8 @@ func TestCheckSmokeMissingRowFails(t *testing.T) {
 		BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5},
 		BatchRow{Graph: "TW", Algo: "MM", Identical: true, VisitReduction: 2, SimSpeedup: 1.5},
 	)
-	fresh := freshMap(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
-	lines, failures := CheckSmoke(base, fresh, nil, nil, nil, nil, nil, nil, nil, 0.10)
+	fresh := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
+	lines, failures := check(base, fresh)
 	if failures != 1 {
 		t.Fatalf("missing row: %d failures, want 1\n%s", failures, strings.Join(lines, "\n"))
 	}
@@ -46,12 +61,12 @@ func TestCheckSmokeExactlyAtThresholdPasses(t *testing.T) {
 	// With 10% tolerance the floor is 0.90 x baseline; a fresh value
 	// landing exactly on the floor must pass, one epsilon below must fail.
 	base := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2.0, SimSpeedup: 1.0})
-	atFloor := freshMap(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 1.8, SimSpeedup: 0.9})
-	if lines, failures := CheckSmoke(base, atFloor, nil, nil, nil, nil, nil, nil, nil, 0.10); failures != 0 {
+	atFloor := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 1.8, SimSpeedup: 0.9})
+	if lines, failures := check(base, atFloor); failures != 0 {
 		t.Fatalf("exactly-at-threshold failed the gate: %d\n%s", failures, strings.Join(lines, "\n"))
 	}
-	below := freshMap(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 1.79, SimSpeedup: 0.9})
-	lines, failures := CheckSmoke(base, below, nil, nil, nil, nil, nil, nil, nil, 0.10)
+	below := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 1.79, SimSpeedup: 0.9})
+	lines, failures := check(base, below)
 	if failures != 1 {
 		t.Fatalf("below-threshold regression not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
@@ -62,25 +77,29 @@ func TestCheckSmokeExactlyAtThresholdPasses(t *testing.T) {
 
 func TestCheckSmokeNonIdenticalFails(t *testing.T) {
 	base := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
-	fresh := freshMap(BatchRow{Graph: "OK", Algo: "MIS", Identical: false, VisitReduction: 2, SimSpeedup: 1.5})
-	_, failures := CheckSmoke(base, fresh, nil, nil, nil, nil, nil, nil, nil, 0.10)
+	fresh := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: false, VisitReduction: 2, SimSpeedup: 1.5})
+	_, failures := check(base, fresh)
 	if failures != 1 {
 		t.Fatalf("non-identical row: %d failures, want 1", failures)
 	}
 }
 
-func TestMergeBestRowsKeepsBestPerMetric(t *testing.T) {
-	best := make(map[string]BatchRow)
-	MergeBestRows(best, []BatchRow{{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 1.5, SimSpeedup: 2.0}})
-	MergeBestRows(best, []BatchRow{{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2.5, SimSpeedup: 1.0}})
-	got := best["OK/MIS"]
-	if got.VisitReduction != 2.5 || got.SimSpeedup != 2.0 {
-		t.Fatalf("best-of merge %+v, want visit 2.5 / speedup 2.0", got)
+func TestCheckSmokeRunsKeepBestPerMetric(t *testing.T) {
+	// Each metric keeps its best value across runs, independently: the
+	// first run carries the best speedup, the second the best reduction.
+	base := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2.5, SimSpeedup: 2.0})
+	runs := []Smoke{
+		smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 1.5, SimSpeedup: 2.0}),
+		smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2.5, SimSpeedup: 1.0}),
+	}
+	if lines, failures := CheckSmoke(base, runs, 0); failures != 0 {
+		t.Fatalf("best-of-runs metrics failed the gate: %d\n%s", failures, strings.Join(lines, "\n"))
 	}
 	// Identical must hold in EVERY run, not just the best one.
-	MergeBestRows(best, []BatchRow{{Graph: "OK", Algo: "MIS", Identical: false, VisitReduction: 3, SimSpeedup: 3}})
-	if best["OK/MIS"].Identical {
-		t.Fatal("a non-identical run did not poison the merged row")
+	runs = append(runs, smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: false, VisitReduction: 3, SimSpeedup: 3}))
+	lines, failures := CheckSmoke(base, runs, 0)
+	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "results differ") {
+		t.Fatalf("a non-identical run did not poison the row: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
 }
 
@@ -96,15 +115,15 @@ func rebalanceRow(graph string, reduction float64, zeroKeys int) RebalanceSmokeR
 func TestCheckSmokeRebalanceGate(t *testing.T) {
 	base := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
 	base.Rebalance = []RebalanceSmokeRow{rebalanceRow("CW", 2.0, 0)}
-	fresh := freshMap(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
+	fresh := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
 
 	// At the floor (0.90 x baseline) passes; below fails.
-	ok := map[string]RebalanceSmokeRow{"CW": rebalanceRow("CW", 1.8, 0)}
-	if lines, failures := CheckSmoke(base, fresh, ok, nil, nil, nil, nil, nil, nil, 0.10); failures != 0 {
+	ok := with(fresh, rebalanceRow("CW", 1.8, 0))
+	if lines, failures := check(base, ok); failures != 0 {
 		t.Fatalf("at-floor rebalance row failed the gate: %d\n%s", failures, strings.Join(lines, "\n"))
 	}
-	regressed := map[string]RebalanceSmokeRow{"CW": rebalanceRow("CW", 1.79, 0)}
-	lines, failures := CheckSmoke(base, fresh, regressed, nil, nil, nil, nil, nil, nil, 0.10)
+	regressed := with(fresh, rebalanceRow("CW", 1.79, 0))
+	lines, failures := check(base, regressed)
 	if failures != 1 {
 		t.Fatalf("regressed rebalance row: %d failures, want 1\n%s", failures, strings.Join(lines, "\n"))
 	}
@@ -113,14 +132,14 @@ func TestCheckSmokeRebalanceGate(t *testing.T) {
 	}
 
 	// A zero-key machine is an outright failure, whatever the reduction.
-	starved := map[string]RebalanceSmokeRow{"CW": rebalanceRow("CW", 3.0, 1)}
-	lines, failures = CheckSmoke(base, fresh, starved, nil, nil, nil, nil, nil, nil, 0.10)
+	starved := with(fresh, rebalanceRow("CW", 3.0, 1))
+	lines, failures = check(base, starved)
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "zero keys") {
 		t.Fatalf("zero-key machine not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
 
 	// A baseline rebalance row missing from the fresh computation fails.
-	lines, failures = CheckSmoke(base, fresh, nil, nil, nil, nil, nil, nil, nil, 0.10)
+	lines, failures = check(base, fresh)
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "CW/rebalance") {
 		t.Fatalf("missing rebalance row not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
@@ -132,39 +151,39 @@ func TestCheckSmokeBackendGate(t *testing.T) {
 		{Graph: "OK", Backend: "disk", Identical: true, SpillRatio: 2.0},
 		{Graph: "OK", Backend: "rpc", Identical: true},
 	}
-	fresh := freshMap(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
+	fresh := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
 
-	ok := map[string]BackendSmokeRow{
-		"OK/disk": {Graph: "OK", Backend: "disk", Identical: true, SpillRatio: 1.8},
-		"OK/rpc":  {Graph: "OK", Backend: "rpc", Identical: true},
-	}
-	if lines, failures := CheckSmoke(base, fresh, nil, ok, nil, nil, nil, nil, nil, 0.10); failures != 0 {
+	ok := with(fresh,
+		BackendSmokeRow{Graph: "OK", Backend: "disk", Identical: true, SpillRatio: 1.8},
+		BackendSmokeRow{Graph: "OK", Backend: "rpc", Identical: true},
+	)
+	if lines, failures := check(base, ok); failures != 0 {
 		t.Fatalf("healthy backend rows failed the gate: %d\n%s", failures, strings.Join(lines, "\n"))
 	}
 
 	// A backend whose output diverged from the in-memory reference fails,
 	// whatever the ratios say.
-	diverged := map[string]BackendSmokeRow{
-		"OK/disk": {Graph: "OK", Backend: "disk", Identical: true, SpillRatio: 2.0},
-		"OK/rpc":  {Graph: "OK", Backend: "rpc", Identical: false},
-	}
-	lines, failures := CheckSmoke(base, fresh, nil, diverged, nil, nil, nil, nil, nil, 0.10)
+	diverged := with(fresh,
+		BackendSmokeRow{Graph: "OK", Backend: "disk", Identical: true, SpillRatio: 2.0},
+		BackendSmokeRow{Graph: "OK", Backend: "rpc", Identical: false},
+	)
+	lines, failures := check(base, diverged)
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "differ from the in-memory reference") {
 		t.Fatalf("diverged backend not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
 
 	// A collapsed spill ratio (the disk backend stopped spilling) fails.
-	collapsed := map[string]BackendSmokeRow{
-		"OK/disk": {Graph: "OK", Backend: "disk", Identical: true, SpillRatio: 1.0},
-		"OK/rpc":  {Graph: "OK", Backend: "rpc", Identical: true},
-	}
-	lines, failures = CheckSmoke(base, fresh, nil, collapsed, nil, nil, nil, nil, nil, 0.10)
+	collapsed := with(fresh,
+		BackendSmokeRow{Graph: "OK", Backend: "disk", Identical: true, SpillRatio: 1.0},
+		BackendSmokeRow{Graph: "OK", Backend: "rpc", Identical: true},
+	)
+	lines, failures = check(base, collapsed)
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "spill_ratio") {
 		t.Fatalf("collapsed spill ratio not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
 
 	// A baseline backend row missing from the fresh run fails.
-	lines, failures = CheckSmoke(base, fresh, nil, nil, nil, nil, nil, nil, nil, 0.10)
+	lines, failures = check(base, fresh)
 	if failures != 2 || !strings.Contains(strings.Join(lines, "\n"), "OK/disk") {
 		t.Fatalf("missing backend rows not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
@@ -185,25 +204,25 @@ func pipelineSmokeRow(graph string, mean, std, advantage float64) PipelineRow {
 func TestCheckSmokePipelineGate(t *testing.T) {
 	base := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
 	base.Pipeline = []PipelineRow{pipelineSmokeRow("CW", 40, 2, 5)}
-	fresh := freshMap(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
+	fresh := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
 
 	// A fresh mean at (or above) the committed floor (mean - 3 x std = 34)
 	// passes, whatever the fractional tolerance would say.
-	ok := map[string]PipelineRow{"CW": pipelineSmokeRow("CW", 34, 3, 4)}
-	if lines, failures := CheckSmoke(base, fresh, nil, nil, ok, nil, nil, nil, nil, 0.10); failures != 0 {
+	ok := with(fresh, pipelineSmokeRow("CW", 34, 3, 4))
+	if lines, failures := check(base, ok); failures != 0 {
 		t.Fatalf("at-floor pipeline row failed the gate: %d\n%s", failures, strings.Join(lines, "\n"))
 	}
 
 	// Below the variance-derived floor fails, even within 10% of the mean.
-	regressed := map[string]PipelineRow{"CW": pipelineSmokeRow("CW", 33.9, 3, 4)}
-	lines, failures := CheckSmoke(base, fresh, nil, nil, regressed, nil, nil, nil, nil, 0.10)
+	regressed := with(fresh, pipelineSmokeRow("CW", 33.9, 3, 4))
+	lines, failures := check(base, regressed)
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "ranged_idle_mean_pct") {
 		t.Fatalf("below-floor pipeline row not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
 
 	// Losing the ranged-over-whole advantage fails.
-	lost := map[string]PipelineRow{"CW": pipelineSmokeRow("CW", 40, 2, 0)}
-	lines, failures = CheckSmoke(base, fresh, nil, nil, lost, nil, nil, nil, nil, 0.10)
+	lost := with(fresh, pipelineSmokeRow("CW", 40, 2, 0))
+	lines, failures = check(base, lost)
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "advantage") {
 		t.Fatalf("lost advantage not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
@@ -211,35 +230,42 @@ func TestCheckSmokePipelineGate(t *testing.T) {
 	// A fused run whose outputs diverged fails, whatever the metrics say.
 	diverged := pipelineSmokeRow("CW", 40, 2, 5)
 	diverged.Identical = false
-	lines, failures = CheckSmoke(base, fresh, nil, nil, map[string]PipelineRow{"CW": diverged}, nil, nil, nil, nil, 0.10)
+	lines, failures = check(base, with(fresh, diverged))
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "differ") {
 		t.Fatalf("diverged pipeline row not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
 
 	// A baseline pipeline row missing from the fresh run fails.
-	lines, failures = CheckSmoke(base, fresh, nil, nil, nil, nil, nil, nil, nil, 0.10)
+	lines, failures = check(base, fresh)
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "CW/pipeline") {
 		t.Fatalf("missing pipeline row not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
 }
 
-func TestMergeBestPipelineRowsKeepsBestPerMetric(t *testing.T) {
-	best := make(map[string]PipelineRow)
-	MergeBestPipelineRows(best, []PipelineRow{pipelineSmokeRow("CW", 30, 5, 2)})
-	MergeBestPipelineRows(best, []PipelineRow{pipelineSmokeRow("CW", 45, 1, 1)})
-	got := best["CW"]
-	if got.RangedIdleReductionMeanPct != 45 || got.RangedIdleReductionStdPct != 1 {
-		t.Fatalf("best mean not kept: %+v", got)
+func TestCheckSmokePipelineRunsKeepBest(t *testing.T) {
+	// The committed floor of 45 is met only by the second run's mean, and
+	// the ranged advantage need only hold in one run.
+	base := smokeWith()
+	base.Pipeline = []PipelineRow{{Graph: "CW", Identical: true, GateFloorPct: 45}}
+	runs := []Smoke{
+		with(smokeWith(), pipelineSmokeRow("CW", 30, 5, 2)),
+		with(smokeWith(), pipelineSmokeRow("CW", 45, 1, 0)),
 	}
-	if got.RangedAdvantagePct != 2 {
-		t.Fatalf("best advantage not kept: %+v", got)
+	if lines, failures := CheckSmoke(base, runs, 0.10); failures != 0 {
+		t.Fatalf("best-of-runs pipeline row failed the gate: %d\n%s", failures, strings.Join(lines, "\n"))
+	}
+	// An advantage lost in every run fails.
+	lost := []Smoke{with(smokeWith(), pipelineSmokeRow("CW", 45, 1, 0)), with(smokeWith(), pipelineSmokeRow("CW", 45, 1, -1))}
+	if lines, failures := CheckSmoke(base, lost, 0.10); failures != 1 {
+		t.Fatalf("advantage lost in every run: %d failures, want 1\n%s", failures, strings.Join(lines, "\n"))
 	}
 	// Identical must hold in EVERY run, not just the best one.
 	bad := pipelineSmokeRow("CW", 50, 1, 3)
 	bad.Identical = false
-	MergeBestPipelineRows(best, []PipelineRow{bad})
-	if best["CW"].Identical {
-		t.Fatal("a non-identical run did not poison the merged row")
+	runs = append(runs, with(smokeWith(), bad))
+	lines, failures := CheckSmoke(base, runs, 0.10)
+	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "differ") {
+		t.Fatalf("a non-identical run did not poison the row: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
 }
 
@@ -250,15 +276,15 @@ func localitySmokeRow(graph, algo string, reduction float64) LocalitySmokeRow {
 func TestCheckSmokeLocalityGate(t *testing.T) {
 	base := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
 	base.Locality = []LocalitySmokeRow{localitySmokeRow("OK", "MIS", 2.0)}
-	fresh := freshMap(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
+	fresh := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
 
 	// At the fractional floor (0.90 x baseline) passes; below fails.
-	ok := map[string]LocalitySmokeRow{"OK/MIS": localitySmokeRow("OK", "MIS", 1.8)}
-	if lines, failures := CheckSmoke(base, fresh, nil, nil, nil, ok, nil, nil, nil, 0.10); failures != 0 {
+	ok := with(fresh, localitySmokeRow("OK", "MIS", 1.8))
+	if lines, failures := check(base, ok); failures != 0 {
 		t.Fatalf("at-floor locality row failed the gate: %d\n%s", failures, strings.Join(lines, "\n"))
 	}
-	regressed := map[string]LocalitySmokeRow{"OK/MIS": localitySmokeRow("OK", "MIS", 1.79)}
-	lines, failures := CheckSmoke(base, fresh, nil, nil, nil, regressed, nil, nil, nil, 0.10)
+	regressed := with(fresh, localitySmokeRow("OK", "MIS", 1.79))
+	lines, failures := check(base, regressed)
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "remote_reduction") {
 		t.Fatalf("regressed locality row not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
@@ -266,13 +292,13 @@ func TestCheckSmokeLocalityGate(t *testing.T) {
 	// Divergent hash-vs-owner outputs fail, whatever the reduction says.
 	diverged := localitySmokeRow("OK", "MIS", 2.0)
 	diverged.Identical = false
-	lines, failures = CheckSmoke(base, fresh, nil, nil, nil, map[string]LocalitySmokeRow{"OK/MIS": diverged}, nil, nil, nil, 0.10)
+	lines, failures = check(base, with(fresh, diverged))
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "differ") {
 		t.Fatalf("diverged locality row not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
 
 	// A baseline locality row missing from the fresh run fails.
-	lines, failures = CheckSmoke(base, fresh, nil, nil, nil, nil, nil, nil, nil, 0.10)
+	lines, failures = check(base, fresh)
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "OK/MIS/loc") {
 		t.Fatalf("missing locality row not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
@@ -292,16 +318,16 @@ func adaptiveSmokeRow(graph string, mean, std float64) AdaptiveRow {
 func TestCheckSmokeAdaptiveGate(t *testing.T) {
 	base := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
 	base.Adaptive = []AdaptiveRow{adaptiveSmokeRow("CW", 60, 4)}
-	fresh := freshMap(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
+	fresh := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
 
 	// A fresh improvement at (or above) the committed variance floor
 	// (mean - 3 x std = 48) passes; below it fails even within 10%.
-	ok := map[string]AdaptiveRow{"CW": adaptiveSmokeRow("CW", 48, 5)}
-	if lines, failures := CheckSmoke(base, fresh, nil, nil, nil, nil, ok, nil, nil, 0.10); failures != 0 {
+	ok := with(fresh, adaptiveSmokeRow("CW", 48, 5))
+	if lines, failures := check(base, ok); failures != 0 {
 		t.Fatalf("at-floor adaptive row failed the gate: %d\n%s", failures, strings.Join(lines, "\n"))
 	}
-	regressed := map[string]AdaptiveRow{"CW": adaptiveSmokeRow("CW", 47.9, 5)}
-	lines, failures := CheckSmoke(base, fresh, nil, nil, nil, nil, regressed, nil, nil, 0.10)
+	regressed := with(fresh, adaptiveSmokeRow("CW", 47.9, 5))
+	lines, failures := check(base, regressed)
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "improvement_mean_pct") {
 		t.Fatalf("below-floor adaptive row not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
@@ -309,32 +335,35 @@ func TestCheckSmokeAdaptiveGate(t *testing.T) {
 	// Adaptive outputs diverging from the static run fail outright.
 	diverged := adaptiveSmokeRow("CW", 60, 4)
 	diverged.Identical = false
-	lines, failures = CheckSmoke(base, fresh, nil, nil, nil, nil, map[string]AdaptiveRow{"CW": diverged}, nil, nil, 0.10)
+	lines, failures = check(base, with(fresh, diverged))
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "differ") {
 		t.Fatalf("diverged adaptive row not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
 
 	// A baseline adaptive row missing from the fresh run fails.
-	lines, failures = CheckSmoke(base, fresh, nil, nil, nil, nil, nil, nil, nil, 0.10)
+	lines, failures = check(base, fresh)
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "CW/adaptive") {
 		t.Fatalf("missing adaptive row not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
 }
 
-func TestMergeBestAdaptiveRowsKeepsBestImprovement(t *testing.T) {
-	best := make(map[string]AdaptiveRow)
-	MergeBestAdaptiveRows(best, []AdaptiveRow{adaptiveSmokeRow("CW", 50, 8)})
-	MergeBestAdaptiveRows(best, []AdaptiveRow{adaptiveSmokeRow("CW", 70, 2)})
-	got := best["CW"]
-	if got.ImprovementMeanPct != 70 || got.ImprovementStdPct != 2 {
-		t.Fatalf("best improvement not kept with its std: %+v", got)
+func TestCheckSmokeAdaptiveRunsKeepBestImprovement(t *testing.T) {
+	// The committed floor of 70 is met only by the second run's mean.
+	base := with(smokeWith(), AdaptiveRow{Graph: "CW", Identical: true, GateFloorPct: 70})
+	runs := []Smoke{
+		with(smokeWith(), adaptiveSmokeRow("CW", 50, 8)),
+		with(smokeWith(), adaptiveSmokeRow("CW", 70, 2)),
+	}
+	if lines, failures := CheckSmoke(base, runs, 0.10); failures != 0 {
+		t.Fatalf("best improvement not kept: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
 	// Identical must hold in EVERY run, not just the best one.
 	bad := adaptiveSmokeRow("CW", 80, 1)
 	bad.Identical = false
-	MergeBestAdaptiveRows(best, []AdaptiveRow{bad})
-	if best["CW"].Identical {
-		t.Fatal("a non-identical run did not poison the merged row")
+	runs = append(runs, with(smokeWith(), bad))
+	lines, failures := CheckSmoke(base, runs, 0.10)
+	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "differ") {
+		t.Fatalf("a non-identical run did not poison the row: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
 }
 
@@ -354,16 +383,16 @@ func chaosSmokeRow(graph string, mean, std float64) ChaosSmokeRow {
 func TestCheckSmokeChaosGate(t *testing.T) {
 	base := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
 	base.Chaos = []ChaosSmokeRow{chaosSmokeRow("OK", 8, 2)}
-	fresh := freshMap(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
+	fresh := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
 
 	// The chaos gate is a ceiling: a fresh overhead mean at (or below) the
 	// committed mean + 3 x std + 1 = 15 passes; above it fails.
-	ok := map[string]ChaosSmokeRow{"OK": chaosSmokeRow("OK", 15, 3)}
-	if lines, failures := CheckSmoke(base, fresh, nil, nil, nil, nil, nil, ok, nil, 0.10); failures != 0 {
+	ok := with(fresh, chaosSmokeRow("OK", 15, 3))
+	if lines, failures := check(base, ok); failures != 0 {
 		t.Fatalf("at-ceiling chaos row failed the gate: %d\n%s", failures, strings.Join(lines, "\n"))
 	}
-	regressed := map[string]ChaosSmokeRow{"OK": chaosSmokeRow("OK", 15.1, 3)}
-	lines, failures := CheckSmoke(base, fresh, nil, nil, nil, nil, nil, regressed, nil, 0.10)
+	regressed := with(fresh, chaosSmokeRow("OK", 15.1, 3))
+	lines, failures := check(base, regressed)
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "overhead_mean_pct") {
 		t.Fatalf("above-ceiling chaos row not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
@@ -371,7 +400,7 @@ func TestCheckSmokeChaosGate(t *testing.T) {
 	// Chaotic outputs diverging from the clean run fail outright.
 	diverged := chaosSmokeRow("OK", 8, 2)
 	diverged.Identical = false
-	lines, failures = CheckSmoke(base, fresh, nil, nil, nil, nil, nil, map[string]ChaosSmokeRow{"OK": diverged}, nil, 0.10)
+	lines, failures = check(base, with(fresh, diverged))
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "differ") {
 		t.Fatalf("diverged chaos row not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
@@ -379,7 +408,7 @@ func TestCheckSmokeChaosGate(t *testing.T) {
 	// A failed algorithm run under chaos fails the gate.
 	failedRun := chaosSmokeRow("OK", 8, 2)
 	failedRun.FailedRuns = 1
-	lines, failures = CheckSmoke(base, fresh, nil, nil, nil, nil, nil, map[string]ChaosSmokeRow{"OK": failedRun}, nil, 0.10)
+	lines, failures = check(base, with(fresh, failedRun))
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "failed under chaos") {
 		t.Fatalf("failed chaos run not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
@@ -387,32 +416,44 @@ func TestCheckSmokeChaosGate(t *testing.T) {
 	// A recovery tier going unexercised (zero counter) fails the gate.
 	unexercised := chaosSmokeRow("OK", 8, 2)
 	unexercised.SubroundRetries = 0
-	lines, failures = CheckSmoke(base, fresh, nil, nil, nil, nil, nil, map[string]ChaosSmokeRow{"OK": unexercised}, nil, 0.10)
+	lines, failures = check(base, with(fresh, unexercised))
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "subround_retries = 0") {
 		t.Fatalf("unexercised recovery tier not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
 
 	// A baseline chaos row missing from the fresh run fails.
-	lines, failures = CheckSmoke(base, fresh, nil, nil, nil, nil, nil, nil, nil, 0.10)
+	lines, failures = check(base, fresh)
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "OK/chaos") {
 		t.Fatalf("missing chaos row not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
 }
 
-func TestMergeBestChaosRowsKeepsLowestOverhead(t *testing.T) {
-	best := make(map[string]ChaosSmokeRow)
-	MergeBestChaosRows(best, []ChaosSmokeRow{chaosSmokeRow("OK", 12, 4)})
-	MergeBestChaosRows(best, []ChaosSmokeRow{chaosSmokeRow("OK", 7, 1)})
-	got := best["OK"]
-	if got.OverheadMeanPct != 7 || got.OverheadStdPct != 1 {
-		t.Fatalf("lowest overhead not kept with its std: %+v", got)
+func TestCheckSmokeChaosRunsKeepLowestOverhead(t *testing.T) {
+	// The committed ceiling of 7 is met only by the second run's mean.
+	ceil := chaosSmokeRow("OK", 0, 0)
+	ceil.GateCeilingPct = 7
+	base := with(smokeWith(), ceil)
+	runs := []Smoke{
+		with(smokeWith(), chaosSmokeRow("OK", 12, 4)),
+		with(smokeWith(), chaosSmokeRow("OK", 7, 1)),
 	}
+	if lines, failures := CheckSmoke(base, runs, 0.10); failures != 0 {
+		t.Fatalf("lowest overhead not kept: %d failures\n%s", failures, strings.Join(lines, "\n"))
+	}
+	// A recovery tier need only fire in one run.
+	quiet := chaosSmokeRow("OK", 7, 1)
+	quiet.Retries, quiet.Failovers, quiet.SubroundRetries = 0, 0, 0
+	if lines, failures := CheckSmoke(base, append([]Smoke{with(smokeWith(), quiet)}, runs...), 0.10); failures != 0 {
+		t.Fatalf("tiers exercised in another run failed the gate: %d\n%s", failures, strings.Join(lines, "\n"))
+	}
+	// Identical must hold — and no run may fail — in EVERY run.
 	bad := chaosSmokeRow("OK", 5, 1)
 	bad.Identical = false
 	bad.FailedRuns = 1
-	MergeBestChaosRows(best, []ChaosSmokeRow{bad})
-	if best["OK"].Identical || best["OK"].FailedRuns != 1 {
-		t.Fatal("a non-identical or failed run did not poison the merged row")
+	runs = append(runs, with(smokeWith(), bad))
+	lines, failures := CheckSmoke(base, runs, 0.10)
+	if failures != 2 || !strings.Contains(strings.Join(lines, "\n"), "differ") || !strings.Contains(strings.Join(lines, "\n"), "failed under chaos") {
+		t.Fatalf("a non-identical, failed run did not poison the row: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
 }
 
@@ -434,17 +475,17 @@ func servingSmokeRow(graph string, mean, std float64) ServingRow {
 func TestCheckSmokeServingGate(t *testing.T) {
 	base := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
 	base.Serving = []ServingRow{servingSmokeRow("CW", 2.0, 0.1)}
-	fresh := freshMap(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
+	fresh := smokeWith(BatchRow{Graph: "OK", Algo: "MIS", Identical: true, VisitReduction: 2, SimSpeedup: 1.5})
 
 	// The serving gate is an absolute variance-derived floor: a fresh
 	// throughput mean at (or above) the committed mean - 3 x std = 1.7
 	// passes; below it fails.
-	ok := map[string]ServingRow{"CW": servingSmokeRow("CW", 1.7, 0.2)}
-	if lines, failures := CheckSmoke(base, fresh, nil, nil, nil, nil, nil, nil, ok, 0.10); failures != 0 {
+	ok := with(fresh, servingSmokeRow("CW", 1.7, 0.2))
+	if lines, failures := check(base, ok); failures != 0 {
 		t.Fatalf("at-floor serving row failed the gate: %d\n%s", failures, strings.Join(lines, "\n"))
 	}
-	regressed := map[string]ServingRow{"CW": servingSmokeRow("CW", 1.69, 0.2)}
-	lines, failures := CheckSmoke(base, fresh, nil, nil, nil, nil, nil, nil, regressed, 0.10)
+	regressed := with(fresh, servingSmokeRow("CW", 1.69, 0.2))
+	lines, failures := check(base, regressed)
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "throughput_mean_x") {
 		t.Fatalf("below-floor serving row not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
@@ -452,7 +493,7 @@ func TestCheckSmokeServingGate(t *testing.T) {
 	// Concurrent outputs diverging from the one-shot runs fail outright.
 	diverged := servingSmokeRow("CW", 2.0, 0.1)
 	diverged.Identical = false
-	lines, failures = CheckSmoke(base, fresh, nil, nil, nil, nil, nil, nil, map[string]ServingRow{"CW": diverged}, 0.10)
+	lines, failures = check(base, with(fresh, diverged))
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "differ") {
 		t.Fatalf("diverged serving row not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
@@ -460,32 +501,126 @@ func TestCheckSmokeServingGate(t *testing.T) {
 	// A plan cache that stopped scoring hits fails the gate.
 	cold := servingSmokeRow("CW", 2.0, 0.1)
 	cold.PlanCacheHits = 0
-	lines, failures = CheckSmoke(base, fresh, nil, nil, nil, nil, nil, nil, map[string]ServingRow{"CW": cold}, 0.10)
+	lines, failures = check(base, with(fresh, cold))
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "plan cache") {
 		t.Fatalf("hitless plan cache not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
 
 	// A baseline serving row missing from the fresh run fails.
-	lines, failures = CheckSmoke(base, fresh, nil, nil, nil, nil, nil, nil, nil, 0.10)
+	lines, failures = check(base, fresh)
 	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "CW/serving") {
 		t.Fatalf("missing serving row not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
 }
 
-func TestMergeBestServingRowsKeepsBestThroughput(t *testing.T) {
-	best := make(map[string]ServingRow)
-	MergeBestServingRows(best, []ServingRow{servingSmokeRow("CW", 1.8, 0.3)})
-	MergeBestServingRows(best, []ServingRow{servingSmokeRow("CW", 2.2, 0.1)})
-	got := best["CW"]
-	if got.ThroughputMeanX != 2.2 || got.ThroughputStdX != 0.1 {
-		t.Fatalf("best throughput not kept with its std: %+v", got)
+func TestCheckSmokeServingRunsKeepBestThroughput(t *testing.T) {
+	// The committed floor of 2.2x is met only by the second run's mean.
+	base := with(smokeWith(), ServingRow{Graph: "CW", Identical: true, PlanCacheHits: 7, GateFloorX: 2.2})
+	runs := []Smoke{
+		with(smokeWith(), servingSmokeRow("CW", 1.8, 0.3)),
+		with(smokeWith(), servingSmokeRow("CW", 2.2, 0.1)),
+	}
+	if lines, failures := CheckSmoke(base, runs, 0.10); failures != 0 {
+		t.Fatalf("best throughput not kept: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
 	// Identical must hold — and the cache must hit — in EVERY run.
 	bad := servingSmokeRow("CW", 2.5, 0.1)
 	bad.Identical = false
 	bad.PlanCacheHits = 0
-	MergeBestServingRows(best, []ServingRow{bad})
-	if best["CW"].Identical || best["CW"].PlanCacheHits != 0 {
-		t.Fatal("a non-identical or hitless run did not poison the merged row")
+	runs = append(runs, with(smokeWith(), bad))
+	lines, failures := CheckSmoke(base, runs, 0.10)
+	if failures != 2 || !strings.Contains(strings.Join(lines, "\n"), "differ") || !strings.Contains(strings.Join(lines, "\n"), "plan cache") {
+		t.Fatalf("a non-identical, hitless run did not poison the row: %d failures\n%s", failures, strings.Join(lines, "\n"))
+	}
+}
+
+func TestSmokeSectionsCoverEverySmokeSection(t *testing.T) {
+	// Every section slice of Smoke has exactly one gate-table entry, so a
+	// new section cannot land ungated.
+	entries := make(map[string]int)
+	for _, sec := range smokeSections {
+		entries[sec.field]++
+	}
+	typ := reflect.TypeOf(Smoke{})
+	sections := 0
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Slice || f.Type.Elem().Kind() != reflect.Struct {
+			continue
+		}
+		sections++
+		if entries[f.Name] != 1 {
+			t.Errorf("Smoke.%s has %d gate-table entries, want 1", f.Name, entries[f.Name])
+		}
+	}
+	if len(smokeSections) != sections {
+		t.Errorf("gate table has %d entries for %d Smoke sections", len(smokeSections), sections)
+	}
+}
+
+func TestCheckSmokeCommittedSnapshotAgainstItself(t *testing.T) {
+	// The committed snapshot checked against itself passes, with one line
+	// per gated (row, metric) that prints the committed bound next to the
+	// committed value.  An entry reading the wrong bound field shows here.
+	data, err := os.ReadFile("../../BENCH_smoke.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s Smoke
+	if err := json.Unmarshal(data, &s); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	add := func(label, name string, bound, value float64) {
+		want = append(want, fmt.Sprintf("%-10s %-22s %10.3f %10.3f", label, name, bound, value))
+	}
+	for _, r := range s.Rows {
+		add(r.Graph+"/"+r.Algo, "visit_reduction", r.VisitReduction, r.VisitReduction)
+		add(r.Graph+"/"+r.Algo, "sim_speedup", r.SimSpeedup, r.SimSpeedup)
+	}
+	for _, r := range s.Rebalance {
+		add(r.Graph+"/rebalance", "load_imbalance_reduction", r.LoadImbalanceReduction, r.LoadImbalanceReduction)
+	}
+	for _, r := range s.Backend {
+		add(r.Graph+"/"+r.Backend, "spill_ratio", r.SpillRatio, r.SpillRatio)
+	}
+	for _, r := range s.Pipeline {
+		add(r.Graph+"/pipeline", "ranged_idle_mean_pct", r.GateFloorPct, r.RangedIdleReductionMeanPct)
+	}
+	for _, r := range s.Locality {
+		add(r.Graph+"/"+r.Algo+"/loc", "remote_reduction", r.RemoteReduction, r.RemoteReduction)
+	}
+	for _, r := range s.Adaptive {
+		add(r.Graph+"/adaptive", "improvement_mean_pct", r.GateFloorPct, r.ImprovementMeanPct)
+	}
+	for _, r := range s.Chaos {
+		add(r.Graph+"/chaos", "overhead_mean_pct", r.GateCeilingPct, r.OverheadMeanPct)
+	}
+	for _, r := range s.Serving {
+		add(r.Graph+"/serving", "throughput_mean_x", r.GateFloorX, r.ThroughputMeanX)
+	}
+	lines, failures := CheckSmoke(s, []Smoke{s}, 0.10)
+	if failures != 0 {
+		t.Fatalf("committed snapshot fails against itself: %d\n%s", failures, strings.Join(lines, "\n"))
+	}
+	if len(lines) != 1+len(want) {
+		t.Fatalf("%d lines, want a header plus %d metric lines\n%s", len(lines), len(want), strings.Join(lines, "\n"))
+	}
+	for i, prefix := range want {
+		if !strings.HasPrefix(lines[i+1], prefix) {
+			t.Errorf("line %d = %q, want prefix %q", i+1, lines[i+1], prefix)
+		}
+	}
+}
+
+func TestCheckSmokeInvariantsHoldInEveryRun(t *testing.T) {
+	// A backend row identical only in the second run fails: invariants
+	// must hold in every run, whichever run comes last.
+	base := with(smokeWith(), BackendSmokeRow{Graph: "OK", Backend: "disk", Identical: true, SpillRatio: 2})
+	first := with(smokeWith(), BackendSmokeRow{Graph: "OK", Backend: "disk", Identical: false, SpillRatio: 2})
+	second := with(smokeWith(), BackendSmokeRow{Graph: "OK", Backend: "disk", Identical: true, SpillRatio: 2})
+	lines, failures := check(base, first, second)
+	if failures != 1 || !strings.Contains(strings.Join(lines, "\n"), "differ from the in-memory reference") {
+		t.Fatalf("first-run divergence not caught: %d failures\n%s", failures, strings.Join(lines, "\n"))
 	}
 }
